@@ -7,11 +7,20 @@ Two dense, immutable polynomial types:
 * ``XPoly`` — univariate polynomial in x whose coefficients are ``LambdaPoly``
   values.  All polynomial families live here.
 
-Both are stored as coefficient lists in ascending power order with trailing
-zeros trimmed, so equality is plain sequence comparison and the zero
-polynomial is the empty list.  Degrees stay small (bounded by the working
-truncation order), which makes dense storage simpler and faster than sparse
-maps.
+A ``LambdaPoly`` stores a tuple of Python-int numerators over one positive
+int denominator, because nearly every λ-polynomial of the theory has integer
+coefficients: rationals enter only through the 1/n! of raw series
+coefficients and through the Korobov/Bernoulli slices.  Arithmetic then runs
+on ints (a product is an int convolution plus one gcd), and rational scalars
+appear only at the edges: constructors accept them, and ``coeffs``, ``coeff``,
+``constant_value`` and ``eval`` return them.  The form is canonical —
+trailing zero numerators trimmed, ``gcd(den, *nums) == 1``, zero stored as
+``((), 1)`` — so equality and hashing compare the two fields directly.
+
+``XPoly`` stores a tuple of ``LambdaPoly`` values with trailing zeros trimmed.
+Both are dense in ascending power order: degrees stay small (bounded by the
+working truncation order), which makes dense storage simpler and faster than
+sparse maps.
 
 λ is symbolic by default: identities are verified as polynomial identities in
 λ, which is strictly stronger than checking them at particular real values.
@@ -21,7 +30,9 @@ checks, the λ→0 degeneration checks, and the CLI.
 
 from __future__ import annotations
 
-from .scalars import QONE, QZERO, as_scalar, is_scalar, scalar_str
+from math import gcd, lcm
+
+from .scalars import Q, QONE, QZERO, as_scalar, is_scalar, scalar_str
 
 
 def _trim(coeffs: list) -> tuple:
@@ -31,18 +42,56 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs[:n])
 
 
-class LambdaPoly:
-    """Dense polynomial in λ over the exact rationals."""
+def _ratio(value) -> tuple:
+    """(numerator, denominator) of a scalar as plain ints."""
+    if type(value) is int:
+        return value, 1
+    value = as_scalar(value)
+    return int(value.numerator), int(value.denominator)
 
-    __slots__ = ("_c",)
+
+def _make(nums: tuple, den: int) -> "LambdaPoly":
+    """Wrap numerators and denominator that are already in canonical form."""
+    poly = object.__new__(LambdaPoly)
+    poly._n = nums
+    poly._d = den
+    return poly
+
+
+def _reduced(nums: list, den: int) -> "LambdaPoly":
+    """Trim trailing zeros and divide out gcd(den, *nums)."""
+    nums = _trim(nums)
+    if not nums:
+        return _LP_ZERO
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple([c // g for c in nums])
+    return _make(nums, den)
+
+
+class LambdaPoly:
+    """Dense polynomial in λ over the exact rationals: int numerators over one
+    shared positive denominator, in canonical form."""
+
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs=()):
-        self._c = _trim(list(coeffs))
+        pairs = [_ratio(c) for c in coeffs]
+        den = 1
+        for _, d in pairs:
+            if d != 1:
+                den = lcm(den, d)
+        nums = [p * (den // d) for p, d in pairs]
+        # reduced inputs over their lcm leave gcd(den, *nums) == 1 already
+        self._n = _trim(nums)
+        self._d = den if self._n else 1
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "LambdaPoly":
         """Build from any iterable of ints / rationals / "p/q" strings."""
-        return cls([as_scalar(c) for c in coeffs])
+        return cls(coeffs)
 
     @classmethod
     def zero(cls) -> "LambdaPoly":
@@ -59,74 +108,89 @@ class LambdaPoly:
 
     @classmethod
     def const(cls, value) -> "LambdaPoly":
-        value = as_scalar(value)
-        return cls((value,)) if value else _LP_ZERO
+        p, q = _ratio(value)
+        return _make((p,), q) if p else _LP_ZERO
 
     @property
     def coeffs(self) -> tuple:
-        return self._c
+        """The reduced rational coefficients, ascending in λ-power."""
+        den = self._d
+        return tuple(Q(c, den) for c in self._n)
+
+    # the former name of the coefficient field, still read by perfbench/tracing.py
+    _c = coeffs
 
     def coeff(self, i: int):
-        return self._c[i] if 0 <= i < len(self._c) else QZERO
+        return Q(self._n[i], self._d) if 0 <= i < len(self._n) else QZERO
 
     @property
     def degree(self) -> int:
         """Degree in λ; the zero polynomial has degree -1."""
-        return len(self._c) - 1
+        return len(self._n) - 1
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     def is_constant(self) -> bool:
-        return len(self._c) <= 1
+        return len(self._n) <= 1
 
     def constant_value(self):
         """The scalar value if constant, else None."""
-        if not self._c:
+        if not self._n:
             return QZERO
-        if len(self._c) == 1:
-            return self._c[0]
+        if len(self._n) == 1:
+            return Q(self._n[0], self._d)
         return None
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._n)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, LambdaPoly):
-            return self._c == other._c
+        if type(other) is LambdaPoly:
+            return self._n == other._n and self._d == other._d
         if is_scalar(other):
-            return self._c == (() if not other else (other,)) or (
-                len(self._c) == 1 and self._c[0] == other
-            )
+            if not other:
+                return not self._n
+            return len(self._n) == 1 and Q(self._n[0], self._d) == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        # a constant equals its scalar value, so it must hash like it too
+        if len(self._n) <= 1:
+            return hash(self.constant_value())
+        return hash((self._n, self._d))
 
     def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly([-c for c in self._c])
+        return _make(tuple([-c for c in self._n]), self._d)
 
     def __add__(self, other):
-        if is_scalar(other):
-            if not other:
-                return self
-            out = list(self._c) if self._c else [QZERO]
-            out[0] = out[0] + other
-            return LambdaPoly(out)
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        a, b = self._c, other._c
+        if type(other) is not LambdaPoly:
+            if not is_scalar(other):
+                return NotImplemented
+            other = LambdaPoly.const(other)
+        a, b = self._n, other._n
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self._d, other._d
+        if da != db:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            a = [c * sa for c in a]
+            b = [c * sb for c in b]
+            da *= sa
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return LambdaPoly(out)
+            out[i] += c
+        return _reduced(out, da)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if is_scalar(other) or isinstance(other, LambdaPoly):
+        if type(other) is LambdaPoly or is_scalar(other):
             return self + (-other)
         return NotImplemented
 
@@ -134,23 +198,32 @@ class LambdaPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if is_scalar(other):
-            if not other:
+        if type(other) is not LambdaPoly:
+            if not is_scalar(other):
+                return NotImplemented
+            p, q = _ratio(other)
+            if not p or not self._n:
                 return _LP_ZERO
-            if other == 1:
+            if p == q:
                 return self
-            return LambdaPoly([c * other for c in self._c])
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        a, b = self._c, other._c
+            return _reduced([c * p for c in self._n], self._d * q)
+        a, b = self._n, other._n
         if not a or not b:
             return _LP_ZERO
-        out = [QZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return LambdaPoly(out)
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            c = b[0]
+            out = [x * c for x in a]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for shift, c in enumerate(b):
+                if c:
+                    k = shift
+                    for x in a:
+                        out[k] += x * c
+                        k += 1
+        return _reduced(out, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -167,23 +240,29 @@ class LambdaPoly:
         return result
 
     def eval(self, lam):
-        """Exact Horner evaluation at a rational λ."""
-        lam = as_scalar(lam)
-        acc = QZERO
-        for c in reversed(self._c):
-            acc = acc * lam + c
-        return acc
+        """Exact Horner evaluation at a rational λ, homogenised in ints."""
+        nums = self._n
+        if not nums:
+            return QZERO
+        p, q = _ratio(lam)
+        acc = nums[-1]
+        scale = 1
+        for c in reversed(nums[:-1]):
+            scale *= q
+            acc = acc * p + c * scale
+        # acc = sum of c_i p^i q^(deg - i), and scale = q^deg
+        return Q(acc, self._d * scale)
 
     def __str__(self) -> str:
-        return _poly_str(self._c, "λ")
+        return _poly_str(self.coeffs, "λ")
 
     def __repr__(self) -> str:
-        return f"LambdaPoly({list(self._c)!r})"
+        return f"LambdaPoly({list(self.coeffs)!r})"
 
 
 _LP_ZERO = LambdaPoly()
-_LP_ONE = LambdaPoly((QONE,))
-_LP_VAR = LambdaPoly((QZERO, QONE))
+_LP_ONE = LambdaPoly((1,))
+_LP_VAR = LambdaPoly((0, 1))
 
 
 def _as_lambda_poly(value) -> "LambdaPoly":

@@ -7,7 +7,7 @@ Subcommands:
 * ``poly`` -- emit a polynomial family, optionally specialized at rational
   λ and/or x.
 * ``verify`` -- run the identity suite; exit 0 when every selected check
-  passes, 1 otherwise.
+  passes, 1 when any check fails or errors (raises instead of answering).
 * ``eval`` -- evaluate a single table entry or family member given as a
   compact expression such as ``s2deg(4,2)`` or ``degbell(3)``.
 
@@ -145,6 +145,9 @@ def _build_triangle(kind: str, order: int):
 def _build_slice(kind: str, order: int, r: int):
     if r < 1:
         raise UsageError("slice order r must be >= 1")
+    if r > MAX_ORDER:
+        # a slice's cost grows linearly in r, so r gets the order's guard rail
+        raise UsageError(f"slice order r={r} exceeds the guard rail {MAX_ORDER}")
     if kind == "korobov":
         return korobov(order, r)
     return deg_bernoulli(order, r)
@@ -249,7 +252,8 @@ def cmd_verify(args) -> int:
         results = run_suite(config)
     except UnknownIdentityError as exc:
         raise UsageError(str(exc)) from exc
-    failed = [r for r in results if not r.passed]
+    failed = [r for r in results if r.status == "fail"]
+    errored = [r for r in results if r.status == "error"]
     if args.format == "json":
         entries = []
         for r in results:
@@ -271,11 +275,12 @@ def cmd_verify(args) -> int:
             if r.witness:
                 line += f"  {r.witness}"
             sys.stdout.write(line + "\n")
-        sys.stdout.write(
-            f"{len(results)} checks: {len(results) - len(failed)} passed, "
-            f"{len(failed)} failed\n"
-        )
-    return 1 if failed else 0
+        passed = len(results) - len(failed) - len(errored)
+        summary = f"{len(results)} checks: {passed} passed, {len(failed)} failed"
+        if errored:
+            summary += f", {len(errored)} errored"
+        sys.stdout.write(summary + "\n")
+    return 1 if failed or errored else 0
 
 
 _EVAL_RE = re.compile(r"^\s*([a-z0-9]+)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)\s*$")

@@ -68,7 +68,7 @@ from . import umbral as _umbral
 class CheckResult:
     identity_id: str
     order: int
-    status: str  # "pass" or "fail"
+    status: str  # "pass", "fail", or "error" (the check itself raised)
     witness: str | None = None
 
     @property
@@ -803,6 +803,7 @@ def run_suite(config: SuiteConfig | None = None):
     for ident in selected:
         order = min(config.order, ident.cap) if ident.cap else config.order
         witness = None
+        status = "fail"
         try:
             facts = list(ident.fn(ws, order))
             for label, lhs, rhs in facts:
@@ -822,13 +823,14 @@ def run_suite(config: SuiteConfig | None = None):
                             break
                     if witness is not None:
                         break
-        except Exception as exc:  # surfacing engine bugs as data
-            witness = f"error: {exc}"
+        except Exception as exc:  # a bug in the engine or the check, not a disproof
+            status = "error"
+            witness = f"{type(exc).__name__}: {exc}"
         results.append(
             CheckResult(
                 ident.identity_id,
                 order,
-                "fail" if witness else "pass",
+                status if witness else "pass",
                 witness,
             )
         )

@@ -1,11 +1,15 @@
-"""Exact rational scalars.
+"""Exact rational scalars at the edges of the engine.
 
-Every coefficient in this package is an exact rational: arbitrary-precision
-integers, always in lowest terms, positive denominator.  gmpy2's ``mpq``
-provides exactly that an order of magnitude faster than ``fractions.Fraction``;
-we fall back to ``Fraction`` when gmpy2 is unavailable.  Both render as
-"num/den" with the denominator omitted when it is 1, which is the canonical
-text form used throughout the CLI output.
+Every coefficient in this package is an exact rational.  The polynomial
+arithmetic itself runs on plain ints: a ``LambdaPoly`` keeps int numerators
+over one shared denominator (see ``algebra``).  Rational scalars appear only
+where values cross into or out of that storage — parsing "p/q" text,
+constructor arguments, scalar factors such as 1/n!, ``coeffs`` and ``eval``
+results, and rendering.  ``Q`` is the rational type used there:
+``fractions.Fraction``, or gmpy2's ``mpq`` when the optional ``gmpy`` extra is
+installed.  Both are always in lowest terms with a positive denominator, and
+both render as "num/den" with the denominator omitted when it is 1, which is
+the canonical text form used throughout the CLI output.
 
 Plain ``int`` values are accepted anywhere a scalar is: mixed int/rational
 arithmetic stays exact and never produces floats (the code never divides two
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional ``gmpy`` extra
     Q = Fraction
 
 Scalar = object  # int | Fraction | Q; kept loose on purpose

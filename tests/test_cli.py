@@ -77,6 +77,18 @@ class TestTriangleCommand:
         assert code == 2
         assert "guard rail" in err
 
+    @pytest.mark.parametrize("kind", ["korobov", "degbernoulli"])
+    def test_slice_order_guard(self, capsys, kind):
+        code, out, _ = run_cli(
+            capsys, "triangle", "--kind", kind, "--order", "2", "--r", "24"
+        )
+        assert code == 0 and json.loads(out)["metadata"]["parameters"]["r"] == 24
+        code, out, err = run_cli(
+            capsys, "triangle", "--kind", kind, "--order", "12", "--r", "2000"
+        )
+        assert code == 2 and out == ""
+        assert "r=2000 exceeds the guard rail 24" in err
+
     def test_unknown_kind_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "triangle", "--kind", "bogus", "--order", "3")
         assert code == 2
@@ -189,6 +201,25 @@ class TestVerifyCommand:
         record = json.loads(out)["entries"][0]
         assert record["status"] == "fail" and "(n=1)" in record["witness"]
 
+    def test_error_exits_one_and_is_counted_apart(self, capsys, monkeypatch):
+        import degenpoly.cli as cli_mod
+        from degenpoly.identities import CheckResult
+
+        monkeypatch.setattr(
+            cli_mod, "run_suite",
+            lambda config: [
+                CheckResult("thm1", config.order, "pass"),
+                CheckResult("eq44", config.order, "error", "TypeError: boom"),
+            ],
+        )
+        code, out, _ = run_cli(capsys, "verify", "--order", "3")
+        assert code == 1
+        assert out.splitlines()[1].startswith("error  eq44")
+        assert out.endswith("2 checks: 1 passed, 0 failed, 1 errored\n")
+        code, out, _ = run_cli(capsys, "verify", "--order", "3", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["entries"][1]["status"] == "error"
+
 
 class TestEvalCommand:
     def test_triangle_entry(self, capsys):
@@ -207,6 +238,12 @@ class TestEvalCommand:
         code, out, _ = run_cli(capsys, "eval", "--expr", "korobov(1,2)")
         assert code == 0
         assert json.loads(out)["entries"][0]["value"] == ["1", "-1"]
+
+    @pytest.mark.parametrize("expr", ["korobov(3,25)", "degbernoulli(3,2000)"])
+    def test_slice_order_guard(self, capsys, expr):
+        code, out, err = run_cli(capsys, "eval", "--expr", expr)
+        assert code == 2 and out == ""
+        assert "exceeds the guard rail" in err
 
     def test_bad_expression(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--expr", "what?")

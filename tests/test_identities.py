@@ -91,7 +91,7 @@ class TestResults:
     def test_result_shape(self, results_order6):
         r = results_order6[0]
         assert isinstance(r, CheckResult)
-        assert r.status in ("pass", "fail")
+        assert r.status in ("pass", "fail", "error")
 
 
 class TestLambdaOneDegeneration:
@@ -148,11 +148,39 @@ class TestWitness:
         )
         assert results[0].status == "fail"  # symbolic comparison already fails
 
-    def test_error_becomes_failing_result(self, monkeypatch):
+    def test_error_becomes_error_result(self, monkeypatch):
         def exploding(ws, order):
             raise RuntimeError("boom")
 
         _patch_check(monkeypatch, "cor13", exploding)
         results = run_suite(SuiteConfig(order=3, identity_filter=("cor13",)))
-        assert results[0].status == "fail"
-        assert "boom" in results[0].witness
+        assert results[0].status == "error" and not results[0].passed
+        assert results[0].witness == "RuntimeError: boom"
+
+    def test_error_in_a_fact_is_not_a_disproof(self, monkeypatch):
+        from degenpoly.algebra import LambdaPoly
+
+        def mistyped(ws, order):
+            # a representation bug: adding a str to a polynomial raises TypeError
+            yield "(n=1)", LambdaPoly.one() + "1", LambdaPoly.one()
+
+        _patch_check(monkeypatch, "cor13", mistyped)
+        results = run_suite(SuiteConfig(order=3, identity_filter=("cor13",)))
+        assert results[0].status == "error"
+        assert results[0].witness.startswith("TypeError: ")
+
+    def test_errors_and_failures_keep_registry_order(self, monkeypatch):
+        from degenpoly.algebra import LambdaPoly
+
+        def exploding(ws, order):
+            raise ValueError("bad input")
+
+        def wrong(ws, order):
+            yield "(n=1)", LambdaPoly.one(), LambdaPoly.zero()
+
+        _patch_check(monkeypatch, "cor13", exploding)
+        _patch_check(monkeypatch, "eq44", wrong)
+        results = run_suite(SuiteConfig(order=3, identity_filter=("eq44", "cor13")))
+        assert [(r.identity_id, r.status) for r in results] == [
+            ("eq44", "fail"), ("cor13", "error")
+        ]
