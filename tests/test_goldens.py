@@ -1,4 +1,5 @@
-"""Byte-exact CLI goldens: every triangle, slice and family kind at order 6.
+"""Byte-exact CLI goldens: every triangle, slice and family kind at order 6,
+and symbolically at order 12.
 
 The files under ``tests/goldens/`` hold the stdout of each command below.
 They pin the rendered bytes of the engine, so a change of representation
@@ -22,6 +23,7 @@ from degenpoly.cli import main
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 ORDER = "6"
+LARGE_ORDER = "12"
 LAMBDAS = (None, "0", "1/2", "-1")
 TRIANGLES = ("s1", "s2", "s1deg", "s2deg", "j1deg", "j2deg", "t")
 SLICES = ("korobov", "degbernoulli")
@@ -52,6 +54,12 @@ def _cases():
         cases.append(["poly", "--family", family, "--order", ORDER, "--x", "2/3"])
         cases.append(["poly", "--family", family, "--order", ORDER,
                       "--lambda", "1/2", "--x", "-3"])
+    for kind in TRIANGLES:
+        cases.append(["triangle", "--kind", kind, "--order", LARGE_ORDER])
+    for kind in SLICES:
+        cases.append(["triangle", "--kind", kind, "--order", LARGE_ORDER, "--r", "2"])
+    for family in FAMILIES:
+        cases.append(["poly", "--family", family, "--order", LARGE_ORDER])
     cases.append(["eval", "--expr", "degbernoulli(6,2)", "--format", "csv"])
     cases.append(["eval", "--expr", "gaenari(6)", "--lambda=-1/3"])
     cases.append(["verify", "--order", "8", "--format", "json"])
