@@ -42,18 +42,7 @@ from .identities import (
     run_suite,
 )
 from .scalars import as_scalar, is_scalar, scalar_str
-from .triangles import (
-    SLICE_KINDS,
-    TRIANGLE_KINDS,
-    classical_triangles,
-    deg_bernoulli,
-    jstirling1,
-    jstirling2,
-    korobov,
-    stirling1_deg,
-    stirling2_deg,
-    t_numbers,
-)
+from .triangles import SLICE_KINDS, SLICES, TRIANGLE_KINDS, build_triangle
 
 MAX_ORDER = 24
 
@@ -125,21 +114,7 @@ def _check_order(order: int) -> int:
 
 
 def _build_triangle(kind: str, order: int):
-    if kind == "s2deg":
-        return stirling2_deg(order)
-    if kind == "s1deg":
-        return stirling1_deg(order)
-    if kind == "j2deg":
-        return jstirling2(order)
-    if kind == "j1deg":
-        return jstirling1(order)
-    if kind == "s2":
-        return classical_triangles(order)[0]
-    if kind == "s1":
-        return classical_triangles(order)[1]
-    if kind == "t":
-        return t_numbers(order)
-    raise UsageError(f"unknown triangle kind {kind!r}")
+    return build_triangle(kind, order)
 
 
 def _build_slice(kind: str, order: int, r: int):
@@ -148,9 +123,7 @@ def _build_slice(kind: str, order: int, r: int):
     if r > MAX_ORDER:
         # a slice's cost grows linearly in r, so r gets the order's guard rail
         raise UsageError(f"slice order r={r} exceeds the guard rail {MAX_ORDER}")
-    if kind == "korobov":
-        return korobov(order, r)
-    return deg_bernoulli(order, r)
+    return SLICES[kind](order, r)[r]
 
 
 def cmd_triangle(args) -> int:
@@ -316,7 +289,8 @@ def _eval_expr(expr: str, lam, x):
     else:
         n, k = first, int(second)
         _check_order(n)
-        value = _build_triangle(name, n).entry(n, k)
+        # zero above the diagonal, as in Triangle.entry, however large k is
+        value = _build_triangle(name, n).entry(n, k) if k <= n else LambdaPoly.zero()
     return value if lam is None else value.eval(lam)
 
 

@@ -6,26 +6,20 @@ Each family is produced two ways -- the explicit sum over a triangle against
 the deformed falling basis, and coefficient extraction from its generating
 series -- and the two are compared term by term (RouteMismatchError on any
 disagreement).  Family polynomials are monic of exact degree n in x with a
-λ-free leading coefficient, which the builders verify.
+λ-free leading coefficient, which the builders verify.  Every kind sits in
+the one ``FAMILIES`` table: the triangle it sums and the inner series of its
+generating function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import XPoly, deg_falling_factorial
 from .oracles import bell_number_classical
-from .triangles import (
-    RouteMismatchError,
-    Triangle,
-    classical_triangles,
-    jstirling1,
-    jstirling2,
-    stirling2_deg,
-)
+from .triangles import RouteMismatchError, Workspace as TriangleWorkspace
 from .series import Series, classical_exp, compose, deg_exp, deg_log
-
-FAMILY_KINDS = ("degbell", "newbell", "jindalrae", "gaenari")
 
 
 @dataclass(frozen=True)
@@ -76,69 +70,73 @@ def _validated(kind: str, order: int, sum_polys, egf_polys) -> PolyFamily:
     return PolyFamily(kind, order, tuple(sum_polys))
 
 
-def deg_bell(order: int, triangle: Triangle | None = None) -> PolyFamily:
-    """Deformed Bell polynomials."""
-    if triangle is None:
-        triangle = stirling2_deg(order)
-    return _validated(
-        "degbell",
-        order,
-        _sum_route(triangle.rows, order),
-        _egf_route(deg_exp(1, order) - 1, order),
-    )
+def _doubled(delta: Series) -> Series:
+    """The delta series composed with itself."""
+    return compose(delta, delta)
 
 
-def newtype_bell(order: int, triangle: Triangle | None = None) -> PolyFamily:
-    """New-type deformed Bell polynomials (classical second-kind weights)."""
-    if triangle is None:
-        triangle = classical_triangles(order)[0]
-    return _validated(
-        "newbell",
-        order,
-        _sum_route(triangle.rows, order),
-        _egf_route(classical_exp(order) - 1, order),
-    )
+class FamilyKind(NamedTuple):
+    triangle: str   # the triangle kind summed against the deformed falling basis
+    inner: object   # order -> the inner series of the generating function
 
 
-def jindalrae(order: int, triangle: Triangle | None = None) -> PolyFamily:
-    """Jindalrae polynomials (iterated second-kind weights)."""
-    if triangle is None:
-        triangle = jstirling2(order)
-    em1 = deg_exp(1, order) - 1
-    return _validated(
-        "jindalrae",
-        order,
-        _sum_route(triangle.rows, order),
-        _egf_route(compose(em1, em1), order),
-    )
+# The one table of family kinds; the inner series look up the series layer as
+# module globals when called, so a wrapper installed on the module sees them.
+FAMILIES = {
+    "degbell": FamilyKind("s2deg", lambda order: deg_exp(1, order) - 1),
+    "newbell": FamilyKind("s2", lambda order: classical_exp(order) - 1),
+    "jindalrae": FamilyKind("j2deg", lambda order: _doubled(deg_exp(1, order) - 1)),
+    "gaenari": FamilyKind("j1deg", lambda order: _doubled(deg_log(order))),
+}
+FAMILY_KINDS = tuple(FAMILIES)
 
 
-def gaenari(order: int, triangle: Triangle | None = None) -> PolyFamily:
-    """Gaenari polynomials (iterated first-kind weights)."""
-    if triangle is None:
-        triangle = jstirling1(order)
-    lg = deg_log(order)
-    return _validated(
-        "gaenari",
-        order,
-        _sum_route(triangle.rows, order),
-        _egf_route(compose(lg, lg), order),
-    )
+class Workspace(TriangleWorkspace):
+    """A triangle workspace that also builds, and memoises, the families."""
+
+    def family_routes(self, kind: str):
+        """The triangle-sum and series routes of a family, unvalidated."""
+        def build():
+            spec = FAMILIES[kind]
+            return (
+                _sum_route(self.tri(spec.triangle).rows, self.order),
+                _egf_route(spec.inner(self.order), self.order),
+            )
+        return self._get(("family_routes", kind), build)
+
+    def family(self, kind: str) -> PolyFamily:
+        return self._get(("family", kind), lambda: _validated(
+            kind, self.order, *self.family_routes(kind)))
 
 
 def build_family(kind: str, order: int) -> PolyFamily:
-    builders = {
-        "degbell": deg_bell,
-        "newbell": newtype_bell,
-        "jindalrae": jindalrae,
-        "gaenari": gaenari,
-    }
-    if kind not in builders:
+    if kind not in FAMILIES:
         raise ValueError(f"unknown polynomial family {kind!r}")
-    return builders[kind](order)
+    return Workspace(order).family(kind)
+
+
+def deg_bell(order: int) -> PolyFamily:
+    """Deformed Bell polynomials."""
+    return build_family("degbell", order)
+
+
+def newtype_bell(order: int) -> PolyFamily:
+    """New-type deformed Bell polynomials (classical second-kind weights)."""
+    return build_family("newbell", order)
+
+
+def jindalrae(order: int) -> PolyFamily:
+    """Jindalrae polynomials (iterated second-kind weights)."""
+    return build_family("jindalrae", order)
+
+
+def gaenari(order: int) -> PolyFamily:
+    """Gaenari polynomials (iterated first-kind weights)."""
+    return build_family("gaenari", order)
 
 
 __all__ = [
+    "FAMILIES",
     "FAMILY_KINDS",
     "PolyFamily",
     "bell_number_classical",

@@ -2,8 +2,10 @@
 
 Every identity the engine is supposed to satisfy is registered here as a
 closure that yields (label, lhs, rhs) facts over a shared workspace of
-memoized triangles, families, and sequences.  ``run_suite`` evaluates each
-registered identity exactly:
+memoized triangles, families, and sequences (the engine's ``Workspace``,
+which builds every triangle and family kind from its table, plus the
+artifacts only the checks use).  ``run_suite`` evaluates each registered
+identity exactly:
 
 * symbolically, comparing λ-polynomials / x-polynomials for structural
   equality (the strongest form: an identity that holds symbolically holds for
@@ -13,8 +15,9 @@ registered identity exactly:
 
 Failures are data, not errors: each identity yields one CheckResult whose
 witness pinpoints the first offending (n, k) with both rendered values.
-Exceptions raised while evaluating an identity (e.g. an internal
-route-mismatch guard) are reported as failing results as well.
+An exception raised while evaluating an identity (e.g. an internal
+route-mismatch guard) is a bug in the engine or the check, not a disproof:
+its result gets status "error", with the exception as witness.
 
 Results come back in registration order, so suite output is byte-stable.
 """
@@ -33,33 +36,17 @@ from .algebra import (
     lambda_shifted_falling,
     specialize,
 )
-from .families import PolyFamily
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q, as_scalar, is_scalar, scalar_str
 from .series import (
     Series,
-    classical_exp,
     comp_inverse,
     compose,
     compositional_power,
     deg_exp,
-    deg_log,
     mul_inverse,
 )
-from .triangles import (
-    RouteMismatchError,
-    Triangle,
-    convolution_rows,
-    jstirling1_routes,
-    jstirling2_routes,
-    korobov_table,
-    deg_bernoulli_table,
-    lambda_zero_rows,
-    rows_mismatch,
-    stirling1_deg_routes,
-    stirling2_deg_routes,
-    t_multinomial_rows,
-)
+from .triangles import SLICES, convolution_rows, rows_mismatch
 from . import families as _families
 from . import umbral as _umbral
 
@@ -108,94 +95,25 @@ class _Identity:
     stretch: bool = False   # off by default, opt-in
 
 
-class _Workspace:
-    """Memoized shared artifacts for one suite run."""
+def _appell_sequence(order: int):
+    base = deg_exp(1, order + 1) - 1
+    g = mul_inverse(base.shift_down())
+    return _umbral.sheffer_from_pair(g, Series.identity(LambdaPoly, order), order)
 
-    def __init__(self, order: int):
-        self.order = order
-        self._cache = {}
 
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+# Sheffer sequences by name: order -> ShefferSeq
+_SEQUENCES = {
+    "ident": _umbral.identity_sheffer,
+    "s2": _umbral.stirling2_sequence,
+    "s1": _umbral.stirling1_sequence,
+    "fall": _umbral.falling_factorial_sequence,
+    "appell": _appell_sequence,
+}
 
-    # --- triangle routes (both computed once, at the full suite order) ---
 
-    def routes(self, name: str):
-        order = self.order
-        if name == "s2deg":
-            return self._get(("routes", name), lambda: stirling2_deg_routes(order))
-        if name == "s1deg":
-            return self._get(("routes", name), lambda: stirling1_deg_routes(order))
-        if name == "j2":
-            return self._get(
-                ("routes", name),
-                lambda: jstirling2_routes(order, self.tri("s2deg").rows),
-            )
-        if name == "j1":
-            return self._get(
-                ("routes", name),
-                lambda: jstirling1_routes(order, self.tri("s1deg").rows),
-            )
-        if name == "t":
-            def build():
-                s2c = self.tri("s2")
-                conv = convolution_rows(s2c.rows, s2c.rows)
-                return conv, t_multinomial_rows(min(order, 8))
-            return self._get(("routes", name), build)
-        raise KeyError(name)
-
-    def tri(self, name: str) -> Triangle:
-        def build():
-            if name in ("s2", "s1"):
-                source = self.tri("s2deg" if name == "s2" else "s1deg")
-                return Triangle(name, self.order, tuple(
-                    tuple(row) for row in lambda_zero_rows(source.rows)
-                ))
-            rows_a, rows_b = self.routes(name)
-            bad = rows_mismatch(rows_a, rows_b)
-            if bad is not None:
-                n, k, a, b = bad
-                raise RouteMismatchError(
-                    f"{name} routes disagree at (n={n}, k={k}): {a} vs {b}"
-                )
-            kind = {"j2": "j2deg", "j1": "j1deg"}.get(name, name)
-            return Triangle(kind, self.order, tuple(tuple(r) for r in rows_a))
-        return self._get(("tri", name), build)
-
-    # --- polynomial families ---
-
-    def family_routes(self, kind: str):
-        def build():
-            order = self.order
-            if kind == "degbell":
-                rows = self.tri("s2deg").rows
-                inner = deg_exp(1, order) - 1
-            elif kind == "newbell":
-                rows = self.tri("s2").rows
-                inner = classical_exp(order) - 1
-            elif kind == "jindalrae":
-                rows = self.tri("j2").rows
-                em1 = deg_exp(1, order) - 1
-                inner = compose(em1, em1)
-            elif kind == "gaenari":
-                rows = self.tri("j1").rows
-                lg = deg_log(order)
-                inner = compose(lg, lg)
-            else:
-                raise KeyError(kind)
-            return (
-                _families._sum_route(rows, order),
-                _families._egf_route(inner, order),
-            )
-        return self._get(("family_routes", kind), build)
-
-    def family(self, kind: str) -> PolyFamily:
-        def build():
-            sum_polys, egf_polys = self.family_routes(kind)
-            return _families._validated(kind, self.order, sum_polys, egf_polys)
-        return self._get(("family", kind), build)
+class _Workspace(_families.Workspace):
+    """The shared artifacts of one suite run: the triangles and families of
+    the engine's workspace at the suite order, plus what only the checks use."""
 
     def family_at_one(self, kind: str):
         """Members evaluated at x = 1 (the number sequence of the family)."""
@@ -204,34 +122,13 @@ class _Workspace:
             lambda: tuple(p.eval_x(1) for p in self.family(kind).polys),
         )
 
-    # --- Sheffer sequences (order-capped checks request smaller orders) ---
-
     def seq(self, name: str, order: int):
-        def build():
-            if name == "ident":
-                return _umbral.identity_sheffer(order)
-            if name == "s2":
-                return _umbral.stirling2_sequence(order)
-            if name == "s1":
-                return _umbral.stirling1_sequence(order)
-            if name == "fall":
-                return _umbral.falling_factorial_sequence(order)
-            if name == "appell":
-                base = deg_exp(1, order + 1) - 1
-                g = mul_inverse(base.shift_down())
-                return _umbral.sheffer_from_pair(
-                    g, Series.identity(LambdaPoly, order), order
-                )
-            raise KeyError(name)
-        return self._get(("seq", name, order), build)
+        """A Sheffer sequence (order-capped checks request smaller orders)."""
+        return self._get(("seq", name, order), lambda: _SEQUENCES[name](order))
 
-    # --- number slices and oracles ---
-
-    def korobov_tab(self, order: int):
-        return self._get(("korobov", order), lambda: korobov_table(order, order))
-
-    def bern_tab(self, order: int):
-        return self._get(("bern", order), lambda: deg_bernoulli_table(order, order))
+    def slice_table(self, kind: str, order: int):
+        """Slices r = 0..order of a number-slice kind."""
+        return self._get(("slices", kind, order), lambda: SLICES[kind](order, order))
 
     def fall_one(self, n: int) -> LambdaPoly:
         """(1)(1-λ)...(1-(n-1)λ)."""
@@ -249,16 +146,24 @@ def _pairs(order):
             yield n, k
 
 
-def _check_eq9(ws, order):
-    egf, basis = ws.routes("s2deg")
-    for n, k in _pairs(order):
-        yield f"(n={n}, k={k})", egf[n][k], basis[n][k]
+def _triangle_route_check(kind: str):
+    """A check comparing the two routes of a triangle kind entry by entry
+    (over the rows both routes have)."""
+    def check(ws, order):
+        rows_a, rows_b = ws.routes(kind)
+        for n, (row_a, row_b) in enumerate(zip(rows_a[: order + 1], rows_b)):
+            for k, (a, b) in enumerate(zip(row_a, row_b)):
+                yield f"(n={n}, k={k})", a, b
+    return check
 
 
-def _check_eq8(ws, order):
-    egf, basis = ws.routes("s1deg")
-    for n, k in _pairs(order):
-        yield f"(n={n}, k={k})", egf[n][k], basis[n][k]
+def _family_route_check(kind: str):
+    """A check comparing the two routes of a family kind member by member."""
+    def check(ws, order):
+        sum_polys, egf_polys = ws.family_routes(kind)
+        for n in range(order + 1):
+            yield f"(n={n})", sum_polys[n], egf_polys[n]
+    return check
 
 
 def _check_orth(ws, order):
@@ -272,20 +177,8 @@ def _check_orth(ws, order):
             yield f"{tag} (n={n}, k={k})", prod[n][k], one if n == k else zero
 
 
-def _check_thm1(ws, order):
-    egf, conv = ws.routes("j2")
-    for n, k in _pairs(order):
-        yield f"(n={n}, k={k})", egf[n][k], conv[n][k]
-
-
-def _check_thm4(ws, order):
-    egf, conv = ws.routes("j1")
-    for n, k in _pairs(order):
-        yield f"(n={n}, k={k})", egf[n][k], conv[n][k]
-
-
 def _check_eq22(ws, order):
-    j2 = ws.tri("j2").rows
+    j2 = ws.tri("j2deg").rows
     s2 = ws.tri("s2deg").rows
     bell = ws.family_at_one("degbell")
     for n in range(1, order + 1):
@@ -299,7 +192,7 @@ def _check_eq22(ws, order):
 def _check_thm2(ws, order):
     s2 = ws.tri("s2deg").rows
     s1 = ws.tri("s1deg").rows
-    j2 = ws.tri("j2").rows
+    j2 = ws.tri("j2deg").rows
     for n, k in _pairs(order):
         acc = LambdaPoly.zero()
         for m in range(k, n + 1):
@@ -330,7 +223,7 @@ def _check_cor3(ws, order):
 
 
 def _check_cor5(ws, order):
-    j1 = ws.tri("j1").rows
+    j1 = ws.tri("j1deg").rows
     s1 = ws.tri("s1deg").rows
     for n in range(1, order + 1):
         acc = LambdaPoly.zero()
@@ -340,7 +233,7 @@ def _check_cor5(ws, order):
 
 
 def _check_thm6(ws, order):
-    j2 = ws.tri("j2").rows
+    j2 = ws.tri("j2deg").rows
     bell_polys = ws.family("degbell").polys
     zero = LambdaPoly.zero()
     for k in range(order + 1):
@@ -363,7 +256,7 @@ def _inv_factorial(k: int):
 def _check_thm7(ws, order):
     s1 = ws.tri("s1deg").rows
     s2 = ws.tri("s2deg").rows
-    j1 = ws.tri("j1").rows
+    j1 = ws.tri("j1deg").rows
     for n, l in _pairs(order):
         acc = LambdaPoly.zero()
         for k in range(l, n + 1):
@@ -373,34 +266,12 @@ def _check_thm7(ws, order):
 
 def _check_eq34(ws, order):
     s1 = ws.tri("s1deg").rows
-    j1 = ws.tri("j1").rows
+    j1 = ws.tri("j1deg").rows
     for n in range(1, order + 1):
         acc = LambdaPoly.zero()
         for k in range(1, n + 1):
             acc = acc + ws.fall_one(k) * j1[n][k]
         yield f"(n={n})", s1[n][1], acc
-
-
-def _family_route_facts(ws, kind, order):
-    sum_polys, egf_polys = ws.family_routes(kind)
-    for n in range(order + 1):
-        yield f"(n={n})", sum_polys[n], egf_polys[n]
-
-
-def _check_eq14(ws, order):
-    yield from _family_route_facts(ws, "degbell", order)
-
-
-def _check_newbell(ws, order):
-    yield from _family_route_facts(ws, "newbell", order)
-
-
-def _check_thm8(ws, order):
-    yield from _family_route_facts(ws, "jindalrae", order)
-
-
-def _check_thm11(ws, order):
-    yield from _family_route_facts(ws, "gaenari", order)
 
 
 def _check_thm9(ws, order):
@@ -455,7 +326,7 @@ def _check_cor13(ws, order):
 
 def _check_eq49(ws, order):
     gae = ws.family("gaenari").polys
-    j2 = ws.tri("j2").rows
+    j2 = ws.tri("j2deg").rows
     for n in range(order + 1):
         acc = XPoly.zero()
         for m in range(n + 1):
@@ -465,7 +336,7 @@ def _check_eq49(ws, order):
 
 def _check_eq51(ws, order):
     jind = ws.family("jindalrae").polys
-    j1 = ws.tri("j1").rows
+    j1 = ws.tri("j1deg").rows
     for n in range(order + 1):
         acc = XPoly.zero()
         for m in range(n + 1):
@@ -476,8 +347,8 @@ def _check_eq51(ws, order):
 def _check_eq52(ws, order):
     gae = ws.family("gaenari").polys
     jind = ws.family("jindalrae").polys
-    j2 = ws.tri("j2").rows
-    j1 = ws.tri("j1").rows
+    j2 = ws.tri("j2deg").rows
+    j1 = ws.tri("j1deg").rows
     for n in range(order + 1):
         left = XPoly.zero()
         right = XPoly.zero()
@@ -494,14 +365,6 @@ def _check_eq17(ws, order):
         yield f"column 1 (n={n})", t[n][1], bell_number_classical(n)
         yield f"diagonal (n={n})", t[n][n], 1
         yield f"column 0 (n={n})", t[n][0], 0
-
-
-def _check_eq19(ws, order):
-    conv, multi = ws.routes("t")
-    limit = min(order, len(multi) - 1)
-    for n in range(limit + 1):
-        for k in range(n + 1):
-            yield f"(n={n}, k={k})", conv[n][k], multi[n][k]
 
 
 def _check_thm14(ws, order):
@@ -611,7 +474,7 @@ def _check_cor15(ws, order):
 
 def _check_s31_m1(ws, order):
     s2 = ws.tri("s2deg").rows
-    table = ws.korobov_tab(order)
+    table = ws.slice_table("korobov", order)
     for n in range(1, order + 1):
         for k in range(1, n + 1):
             yield f"(n={n}, k={k})", s2[n][k], table[n][n - k] * comb(n - 1, k - 1)
@@ -619,7 +482,7 @@ def _check_s31_m1(ws, order):
 
 def _check_s32_m1(ws, order):
     s1 = ws.tri("s1deg").rows
-    table = ws.bern_tab(order)
+    table = ws.slice_table("degbernoulli", order)
     for n in range(1, order + 1):
         for k in range(1, n + 1):
             yield f"(n={n}, k={k})", s1[n][k], table[n][n - k] * comb(n - 1, k - 1)
@@ -639,11 +502,11 @@ def _two_slice_convolution(rows, table, order):
 
 
 def _check_s31_m2(ws, order):
-    yield from _two_slice_convolution(ws.tri("j2").rows, ws.korobov_tab(order), order)
+    yield from _two_slice_convolution(ws.tri("j2deg").rows, ws.slice_table("korobov", order), order)
 
 
 def _check_s32_m2(ws, order):
-    yield from _two_slice_convolution(ws.tri("j1").rows, ws.bern_tab(order), order)
+    yield from _two_slice_convolution(ws.tri("j1deg").rows, ws.slice_table("degbernoulli", order), order)
 
 
 def _three_slice_convolution(rows3, table, order):
@@ -671,13 +534,13 @@ def _three_slice_convolution(rows3, table, order):
 def _check_s31_m3(ws, order):
     s2 = ws.tri("s2deg").rows
     cube = convolution_rows(convolution_rows(s2, s2), s2)
-    yield from _three_slice_convolution(cube, ws.korobov_tab(order), order)
+    yield from _three_slice_convolution(cube, ws.slice_table("korobov", order), order)
 
 
 def _check_s32_m3(ws, order):
     s1 = ws.tri("s1deg").rows
     cube = convolution_rows(convolution_rows(s1, s1), s1)
-    yield from _three_slice_convolution(cube, ws.bern_tab(order), order)
+    yield from _three_slice_convolution(cube, ws.slice_table("degbernoulli", order), order)
 
 
 def _check_degbound(ws, order):
@@ -704,25 +567,25 @@ def _check_classical(ws, order):
 
 
 _REGISTRY = (
-    _Identity("eq9", "second-kind degenerate triangle: series extraction equals falling-basis change", _check_eq9),
-    _Identity("eq8", "first-kind degenerate triangle: series extraction equals deformed-basis change", _check_eq8),
+    _Identity("eq9", "second-kind degenerate triangle: series extraction equals falling-basis change", _triangle_route_check("s2deg")),
+    _Identity("eq8", "first-kind degenerate triangle: series extraction equals deformed-basis change", _triangle_route_check("s1deg")),
     _Identity("orth", "first- and second-kind degenerate triangles are mutually inverse", _check_orth),
-    _Identity("thm1", "iterated second-kind numbers equal the self-convolution of the second-kind triangle", _check_thm1),
+    _Identity("thm1", "iterated second-kind numbers equal the self-convolution of the second-kind triangle", _triangle_route_check("j2deg")),
     _Identity("eq22", "column one of the iterated second-kind triangle gives the deformed Bell numbers", _check_eq22),
     _Identity("thm2", "second-kind entries recovered from iterated second-kind and first-kind entries", _check_thm2),
     _Identity("eq24", "column one of the second-kind triangle via Bell numbers and first-kind weights", _check_eq24),
     _Identity("cor3", "first-kind-weighted deformed Bell numbers collapse to the deformed falling factorial of 1", _check_cor3),
-    _Identity("thm4", "iterated first-kind numbers equal the self-convolution of the first-kind triangle", _check_thm4),
+    _Identity("thm4", "iterated first-kind numbers equal the self-convolution of the first-kind triangle", _triangle_route_check("j1deg")),
     _Identity("cor5", "column one of the iterated first-kind triangle via shifted falling factorials", _check_cor5),
     _Identity("thm6", "iterated second-kind numbers as alternating sums of deformed Bell values at integers (zero above the diagonal)", _check_thm6),
     _Identity("thm7", "first-kind entries recovered from iterated first-kind and second-kind entries", _check_thm7),
     _Identity("eq34", "column one of the first-kind triangle via iterated first-kind weights", _check_eq34),
-    _Identity("eq14", "deformed Bell polynomials: triangle sum equals series extraction", _check_eq14),
-    _Identity("newbell", "new-type Bell polynomials: classical-triangle sum equals series extraction", _check_newbell),
-    _Identity("thm8", "Jindalrae polynomials: iterated-triangle sum equals series extraction", _check_thm8),
+    _Identity("eq14", "deformed Bell polynomials: triangle sum equals series extraction", _family_route_check("degbell")),
+    _Identity("newbell", "new-type Bell polynomials: classical-triangle sum equals series extraction", _family_route_check("newbell")),
+    _Identity("thm8", "Jindalrae polynomials: iterated-triangle sum equals series extraction", _family_route_check("jindalrae")),
     _Identity("thm9", "deformed Bell polynomials as first-kind-weighted Jindalrae polynomials", _check_thm9),
     _Identity("thm10", "Jindalrae polynomials as second-kind-weighted deformed Bell polynomials", _check_thm10),
-    _Identity("thm11", "Gaenari polynomials: iterated-triangle sum equals series extraction", _check_thm11),
+    _Identity("thm11", "Gaenari polynomials: iterated-triangle sum equals series extraction", _family_route_check("gaenari")),
     _Identity("thm12", "plain falling factorials as second-kind-weighted Gaenari polynomials", _check_thm12),
     _Identity("eq44", "second-kind-weighted Gaenari numbers vanish beyond the first two rows", _check_eq44),
     _Identity("cor13", "Gaenari numbers equal the shifted falling factorial of λ", _check_cor13),
@@ -730,7 +593,7 @@ _REGISTRY = (
     _Identity("eq51", "deformed falling factorials as iterated-first-kind-weighted Jindalrae polynomials", _check_eq51),
     _Identity("eq52", "the two dual expansions of the deformed falling factorial agree", _check_eq52),
     _Identity("eq17", "doubly-composed classical triangle: column one gives the Bell numbers", _check_eq17, cap=10),
-    _Identity("eq19", "doubly-composed classical triangle: convolution equals the multinomial Bell sum", _check_eq19, cap=8),
+    _Identity("eq19", "doubly-composed classical triangle: convolution equals the multinomial Bell sum", _triangle_route_check("t"), cap=8),
     _Identity("thm14", "umbral composition group law, identity, inverses, and power pairs", _check_thm14, cap=10),
     _Identity("eq56", "umbral powers equal the explicit multi-index coefficient sums", _check_eq56, cap=10),
     _Identity("eq60", "Jindalrae polynomials via the squared second-kind sequence", _check_eq60),

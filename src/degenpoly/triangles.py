@@ -7,7 +7,8 @@ the second route is the test oracle, since no published numeric tables exist
 for the degenerate families.  A route disagreement raises
 ``RouteMismatchError`` -- it signals an engine bug, never bad input.
 
-Routes per kind:
+Routes per kind, all in the one ``TRIANGLES`` table (a ``Workspace`` builds
+a kind's routes once, after the kinds they read, and validates them):
 
 * second-kind degenerate ("s2deg"): EGF extraction from powers of e_λ(t)-1
   versus the triangular change of basis expressing x(x-λ)...(x-(n-1)λ) in the
@@ -26,14 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .algebra import LambdaPoly, deg_falling_factorial, falling_factorial
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q
 from .series import Series, compose, deg_exp, deg_log, mul_inverse
-
-TRIANGLE_KINDS = ("s1", "s2", "s1deg", "s2deg", "j1deg", "j2deg", "t")
-SLICE_KINDS = ("korobov", "degbernoulli")
 
 _ORACLE_CHECK_LIMIT = 10
 
@@ -76,6 +75,8 @@ def rows_mismatch(rows_a, rows_b):
 
 
 def _validated(kind: str, order: int, rows_a, rows_b, what: str) -> Triangle:
+    """The triangle of rows_a, once it agrees with rows_b on their common
+    rows (rows_b may stop early: an oracle capped below the order)."""
     bad = rows_mismatch(rows_a, rows_b)
     if bad is not None:
         n, k, a, b = bad
@@ -148,84 +149,6 @@ def lambda_zero_rows(rows):
     return [[LambdaPoly.const(c.eval(0)) for c in row] for row in rows]
 
 
-def stirling2_deg_routes(order: int):
-    egf = egf_triangle_rows(deg_exp(1, order) - 1, order)
-    targets = [deg_falling_factorial(n) for n in range(order + 1)]
-    basis = [falling_factorial(k) for k in range(order + 1)]
-    return egf, basis_change_rows(targets, basis)
-
-
-def stirling2_deg(order: int) -> Triangle:
-    """Degenerate second-kind triangle."""
-    egf, basis = stirling2_deg_routes(order)
-    return _validated("s2deg", order, egf, basis, "series vs basis change")
-
-
-def stirling1_deg_routes(order: int):
-    egf = egf_triangle_rows(deg_log(order), order)
-    targets = [falling_factorial(n) for n in range(order + 1)]
-    basis = [deg_falling_factorial(k) for k in range(order + 1)]
-    return egf, basis_change_rows(targets, basis)
-
-
-def stirling1_deg(order: int) -> Triangle:
-    """Degenerate (signed) first-kind triangle."""
-    egf, basis = stirling1_deg_routes(order)
-    return _validated("s1deg", order, egf, basis, "series vs basis change")
-
-
-def jstirling2_routes(order: int, s2_rows=None):
-    em1 = deg_exp(1, order) - 1
-    egf = egf_triangle_rows(compose(em1, em1), order)
-    if s2_rows is None:
-        s2_rows = stirling2_deg(order).rows
-    return egf, convolution_rows(s2_rows, s2_rows)
-
-
-def jstirling2(order: int) -> Triangle:
-    """Iterated degenerate second-kind triangle."""
-    egf, conv = jstirling2_routes(order)
-    return _validated("j2deg", order, egf, conv, "series vs self-convolution")
-
-
-def jstirling1_routes(order: int, s1_rows=None):
-    lg = deg_log(order)
-    egf = egf_triangle_rows(compose(lg, lg), order)
-    if s1_rows is None:
-        s1_rows = stirling1_deg(order).rows
-    return egf, convolution_rows(s1_rows, s1_rows)
-
-
-def jstirling1(order: int) -> Triangle:
-    """Iterated degenerate first-kind triangle."""
-    egf, conv = jstirling1_routes(order)
-    return _validated("j1deg", order, egf, conv, "series vs self-convolution")
-
-
-def classical_triangles(order: int):
-    """Classical second-kind and signed first-kind triangles, as (s2, s1).
-
-    Obtained by specialising the degenerate triangles at λ = 0 and
-    cross-checked against the enumeration oracles (up to the oracle cap).
-    """
-    s2_rows = lambda_zero_rows(stirling2_deg(order).rows)
-    s1_rows = lambda_zero_rows(stirling1_deg(order).rows)
-    limit = min(order, _ORACLE_CHECK_LIMIT)
-    oracle_s2 = [
-        [LambdaPoly.const(partition_oracle(n, k)) for k in range(n + 1)]
-        for n in range(limit + 1)
-    ]
-    oracle_s1 = [
-        [LambdaPoly.const(signed_cycle_oracle(n, k)) for k in range(n + 1)]
-        for n in range(limit + 1)
-    ]
-    s2 = _validated("s2", order, s2_rows, oracle_s2 + s2_rows[limit + 1 :],
-                    "λ=0 vs partition enumeration")
-    s1 = _validated("s1", order, s1_rows, oracle_s1 + s1_rows[limit + 1 :],
-                    "λ=0 vs product expansion")
-    return s2, s1
-
-
 def _compositions(n: int, k: int):
     """All k-tuples of positive integers summing to n."""
     if k == 0:
@@ -268,20 +191,129 @@ def t_multinomial_rows(order: int):
     return rows
 
 
-def t_numbers_routes(order: int, s2_classical_rows=None):
-    if s2_classical_rows is None:
-        s2_classical_rows = classical_triangles(order)[0].rows
-    conv = convolution_rows(s2_classical_rows, s2_classical_rows)
-    multi = t_multinomial_rows(min(order, 8))
-    return conv, multi
+def _series_vs_basis(ws, delta: Series, targets, basis):
+    """Powers of a delta series versus the change of basis expressing
+    targets(n) in the monic basis basis(k)."""
+    order = ws.order
+    return egf_triangle_rows(delta, order), basis_change_rows(
+        [targets(n) for n in range(order + 1)], [basis(k) for k in range(order + 1)]
+    )
+
+
+def _series_vs_convolution(ws, delta: Series, single: str):
+    """Powers of a delta series composed with itself versus the
+    self-convolution of the single-level triangle."""
+    rows = ws.tri(single).rows
+    return (egf_triangle_rows(compose(delta, delta), ws.order),
+            convolution_rows(rows, rows))
+
+
+def _specialised_vs_oracle(ws, degenerate: str, oracle):
+    """λ = 0 specialisation versus a brute-force oracle, the latter only up to
+    the oracle cap (a prefix of the rows)."""
+    limit = min(ws.order, _ORACLE_CHECK_LIMIT)
+    return lambda_zero_rows(ws.tri(degenerate).rows), [
+        [LambdaPoly.const(oracle(n, k)) for k in range(n + 1)] for n in range(limit + 1)
+    ]
+
+
+def _convolution_vs_multinomial(ws):
+    """Self-convolution of the classical second-kind triangle versus the
+    multinomial Bell sum (only for n <= 8)."""
+    s2 = ws.tri("s2").rows
+    return convolution_rows(s2, s2), t_multinomial_rows(min(ws.order, 8))
+
+
+class TriangleKind(NamedTuple):
+    routes: object  # workspace -> (rows_a, rows_b), the kind's two routes
+    label: str      # what the two routes are, for RouteMismatchError
+
+
+# The one table of triangle kinds.  Routes look up the layer functions as
+# module globals when called, so a wrapper installed on the module sees them.
+TRIANGLES = {
+    "s1": TriangleKind(
+        lambda ws: _specialised_vs_oracle(ws, "s1deg", signed_cycle_oracle),
+        "λ=0 vs product expansion"),
+    "s2": TriangleKind(
+        lambda ws: _specialised_vs_oracle(ws, "s2deg", partition_oracle),
+        "λ=0 vs partition enumeration"),
+    "s1deg": TriangleKind(
+        lambda ws: _series_vs_basis(
+            ws, deg_log(ws.order), falling_factorial, deg_falling_factorial),
+        "series vs basis change"),
+    "s2deg": TriangleKind(
+        lambda ws: _series_vs_basis(
+            ws, deg_exp(1, ws.order) - 1, deg_falling_factorial, falling_factorial),
+        "series vs basis change"),
+    "j1deg": TriangleKind(
+        lambda ws: _series_vs_convolution(ws, deg_log(ws.order), "s1deg"),
+        "series vs self-convolution"),
+    "j2deg": TriangleKind(
+        lambda ws: _series_vs_convolution(ws, deg_exp(1, ws.order) - 1, "s2deg"),
+        "series vs self-convolution"),
+    "t": TriangleKind(_convolution_vs_multinomial, "convolution vs multinomial"),
+}
+TRIANGLE_KINDS = tuple(TRIANGLES)
+
+
+class Workspace:
+    """Memoised artifacts at one order: each kind's two routes are built once,
+    from the kinds they depend on, and validated once."""
+
+    def __init__(self, order: int):
+        self.order = order
+        self._cache = {}
+
+    def _get(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def routes(self, kind: str):
+        """Both routes of a triangle kind, as (rows_a, rows_b)."""
+        return self._get(("routes", kind), lambda: TRIANGLES[kind].routes(self))
+
+    def tri(self, kind: str) -> Triangle:
+        return self._get(("tri", kind), lambda: _validated(
+            kind, self.order, *self.routes(kind), TRIANGLES[kind].label))
+
+
+def build_triangle(kind: str, order: int) -> Triangle:
+    if kind not in TRIANGLES:
+        raise ValueError(f"unknown triangle kind {kind!r}")
+    return Workspace(order).tri(kind)
+
+
+def stirling2_deg(order: int) -> Triangle:
+    """Degenerate second-kind triangle."""
+    return build_triangle("s2deg", order)
+
+
+def stirling1_deg(order: int) -> Triangle:
+    """Degenerate (signed) first-kind triangle."""
+    return build_triangle("s1deg", order)
+
+
+def jstirling2(order: int) -> Triangle:
+    """Iterated degenerate second-kind triangle."""
+    return build_triangle("j2deg", order)
+
+
+def jstirling1(order: int) -> Triangle:
+    """Iterated degenerate first-kind triangle."""
+    return build_triangle("j1deg", order)
+
+
+def classical_triangles(order: int):
+    """Classical second-kind and signed first-kind triangles, as (s2, s1)."""
+    ws = Workspace(order)
+    return ws.tri("s2"), ws.tri("s1")
 
 
 def t_numbers(order: int) -> Triangle:
     """Doubly-composed classical second-kind triangle."""
-    conv, multi = t_numbers_routes(order)
-    limit = len(multi) - 1
-    _validated("t", limit, conv[: limit + 1], multi, "convolution vs multinomial")
-    return Triangle("t", order, tuple(tuple(row) for row in conv))
+    return build_triangle("t", order)
 
 
 def korobov(order: int, r: int):
@@ -296,6 +328,8 @@ def deg_bernoulli(order: int, r: int):
 
 def _power_slices(base: Series, order: int, max_r: int):
     """table[r][n] = n! [t^n] base^r for r = 0..max_r (table[0] is 1, 0, ...)."""
+    if max_r < 1:
+        raise ValueError("slice order r must be >= 1")
     facts = [factorial(n) for n in range(order + 1)]
     table = [tuple(
         LambdaPoly.one() if n == 0 else LambdaPoly.zero() for n in range(order + 1)
@@ -309,15 +343,19 @@ def _power_slices(base: Series, order: int, max_r: int):
 
 def korobov_table(order: int, max_r: int):
     """Korobov-number slices for every order 0..max_r at once."""
-    if max_r < 1:
-        raise ValueError("slice order r must be >= 1")
     base = mul_inverse(deg_log(order + 1).shift_down())
     return _power_slices(base, order, max_r)
 
 
 def deg_bernoulli_table(order: int, max_r: int):
     """Higher-order deformed Bernoulli number slices for 0..max_r at once."""
-    if max_r < 1:
-        raise ValueError("slice order r must be >= 1")
     base = mul_inverse((deg_exp(1, order + 1) - 1).shift_down())
     return _power_slices(base, order, max_r)
+
+
+# kind -> (order, max_r) -> the slices for r = 0..max_r
+SLICES = {
+    "korobov": lambda order, max_r: korobov_table(order, max_r),
+    "degbernoulli": lambda order, max_r: deg_bernoulli_table(order, max_r),
+}
+SLICE_KINDS = tuple(SLICES)

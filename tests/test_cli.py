@@ -227,6 +227,16 @@ class TestEvalCommand:
         assert code == 0
         assert json.loads(out)["entries"][0]["value"] == ["1", "-1"]
 
+    @pytest.mark.parametrize("expr", ["s2deg(4,7)", "j1deg(2,30)", "t(3,5)", "s1(0,1)"])
+    def test_entry_above_the_diagonal_is_zero(self, capsys, expr):
+        code, out, err = run_cli(capsys, "eval", "--expr", expr)
+        assert code == 0 and err == ""
+        assert json.loads(out)["entries"][0]["value"] == "0"
+        code, out, _ = run_cli(capsys, "eval", "--expr", expr, "--lambda", "1/2",
+                               "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-1] == f'"{expr}",0'
+
     def test_family_member_specialized(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--expr", "degbell(2)", "--lambda", "0", "--x", "1"
