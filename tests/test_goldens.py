@@ -1,26 +1,35 @@
 """Byte-exact CLI goldens: every triangle, slice and family kind at order 6,
-and symbolically at order 12.
+and symbolically at order 12; plus the manifest of the facts each identity
+checks at order 8.
 
 The files under ``tests/goldens/`` hold the stdout of each command below.
 They pin the rendered bytes of the engine, so a change of representation
 (how λ-polynomials store their coefficients, say) cannot move a single byte
-of output unnoticed.  Re-record them only on purpose, when the output is
-meant to change:
+of output unnoticed.  ``facts_order8.json`` holds, for every registered
+identity, the number of facts it checks at order 8 and the sha256 of their
+labels, so a rewrite of a check cannot drop, add or reorder a fact
+unnoticed.  Re-record them only on purpose, when the output is meant to
+change:
 
     PYTHONPATH=src python tests/test_goldens.py
 """
 
 import contextlib
+import hashlib
 import io
+import json
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from degenpoly import identities
 from degenpoly.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+FACTS_ORDER = 8
+FACTS_FILE = GOLDEN_DIR / f"facts_order{FACTS_ORDER}.json"
 
 ORDER = "6"
 LARGE_ORDER = "12"
@@ -97,6 +106,25 @@ def test_golden_names_are_unique_and_complete():
     assert sorted(names) == sorted(p.name for p in GOLDEN_DIR.glob("*.out"))
 
 
+def fact_manifest():
+    """Per registered identity, in registry order: its id, how many facts it
+    checks at FACTS_ORDER (or its cap), and the sha256 of their labels."""
+    ws = identities._Workspace(FACTS_ORDER)
+    manifest = []
+    for ident in identities._REGISTRY:
+        order = min(FACTS_ORDER, ident.cap) if ident.cap else FACTS_ORDER
+        labels = [label for label, _, _ in ident.fn(ws, order)]
+        digest = hashlib.sha256("\n".join(labels).encode("utf-8")).hexdigest()
+        manifest.append({"id": ident.identity_id, "facts": len(labels),
+                         "labels_sha256": digest})
+    return manifest
+
+
+def test_identities_check_the_recorded_facts():
+    expected = json.loads(FACTS_FILE.read_text(encoding="utf-8"))
+    assert fact_manifest() == expected
+
+
 def record() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for argv in CASES:
@@ -104,7 +132,10 @@ def record() -> None:
         if code != 0:
             raise SystemExit(f"{' '.join(argv)} exited with {code}")
         (GOLDEN_DIR / golden_name(argv)).write_bytes(out.encode("utf-8"))
-    print(f"recorded {len(CASES)} goldens in {GOLDEN_DIR}", file=sys.stderr)
+    manifest = fact_manifest()
+    FACTS_FILE.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(CASES)} goldens and {sum(m['facts'] for m in manifest)} "
+          f"fact labels in {GOLDEN_DIR}", file=sys.stderr)
 
 
 if __name__ == "__main__":
