@@ -98,6 +98,27 @@ def _csv_lines(fieldnames, rows) -> str:
     return buffer.getvalue()
 
 
+def _write_records(args, kind: str, order: int, parameters, fieldnames, records):
+    """Write (key, ..., value) records as one JSON document or as CSV rows;
+    fieldnames names the keys and then the value."""
+    if args.format == "json":
+        entries = [dict(zip(fieldnames, (*keys, render_value(value))))
+                   for *keys, value in records]
+        sys.stdout.write(render_json(_document(kind, order, entries, parameters)))
+    else:
+        rows = [(*keys, render_text(value)) for *keys, value in records]
+        sys.stdout.write(_csv_lines(fieldnames, rows))
+
+
+def _specialized(value, lam, x=None):
+    """A table value or family member at the requested λ and/or x."""
+    if lam is not None:
+        return specialize(value, lam, x)  # scalar, or x-coefficients when x is None
+    if x is not None:
+        return value.eval_x(x)
+    return value
+
+
 def _rational_arg(text: str):
     try:
         return as_scalar(text)
@@ -138,30 +159,16 @@ def cmd_triangle(args) -> int:
         r = 1 if args.r is None else args.r
         values = _build_slice(args.kind, order, r)
         parameters["r"] = r
-        entries = []
-        rows = []
-        for n, value in enumerate(values):
-            out = value if lam is None else value.eval(lam)
-            entries.append({"n": n, "value": render_value(out)})
-            rows.append((n, render_text(out)))
         fieldnames = ("n", "value")
+        records = [(n, _specialized(value, lam)) for n, value in enumerate(values)]
     else:
         if args.r is not None:
             raise UsageError(f"--r only applies to kinds {'/'.join(SLICE_KINDS)}")
         triangle = _build_triangle(args.kind, order)
-        entries = []
-        rows = []
-        for n in range(order + 1):
-            for k in range(n + 1):
-                value = triangle.entry(n, k)
-                out = value if lam is None else value.eval(lam)
-                entries.append({"n": n, "k": k, "value": render_value(out)})
-                rows.append((n, k, render_text(out)))
         fieldnames = ("n", "k", "value")
-    if args.format == "json":
-        sys.stdout.write(render_json(_document(args.kind, order, entries, parameters)))
-    else:
-        sys.stdout.write(_csv_lines(fieldnames, rows))
+        records = [(n, k, _specialized(triangle.entry(n, k), lam))
+                   for n in range(order + 1) for k in range(n + 1)]
+    _write_records(args, args.kind, order, parameters, fieldnames, records)
     return 0
 
 
@@ -175,22 +182,8 @@ def cmd_poly(args) -> int:
         "lambda": None if lam is None else scalar_str(lam),
         "x": None if x is None else scalar_str(x),
     }
-    entries = []
-    rows = []
-    for n in range(order + 1):
-        p = family.poly(n)
-        if lam is not None:
-            out = specialize(p, lam, x)  # scalar, or x-coefficients when x is None
-        elif x is not None:
-            out = p.eval_x(x)
-        else:
-            out = p
-        entries.append({"n": n, "value": render_value(out)})
-        rows.append((n, render_text(out)))
-    if args.format == "json":
-        sys.stdout.write(render_json(_document(args.family, order, entries, parameters)))
-    else:
-        sys.stdout.write(_csv_lines(("n", "value"), rows))
+    records = [(n, _specialized(family.poly(n), lam, x)) for n in range(order + 1)]
+    _write_records(args, args.family, order, parameters, ("n", "value"), records)
     return 0
 
 
@@ -211,8 +204,7 @@ def cmd_verify(args) -> int:
         return 0
     if args.order < 1:
         raise UsageError("verification order must be >= 1")
-    if args.order > MAX_ORDER:
-        raise UsageError(f"order {args.order} exceeds the guard rail {MAX_ORDER}")
+    _check_order(args.order)
     lambda_list = tuple(args.lambda_list) if args.lambda_list else ()
     identity_filter = tuple(args.filter) if args.filter else None
     try:
@@ -270,12 +262,7 @@ def _eval_expr(expr: str, lam, x):
         if second is not None:
             raise UsageError(f"family {name} takes a single index, got {expr!r}")
         n = _check_order(first)
-        p = build_family(name, n).poly(n)
-        if lam is not None:
-            return specialize(p, lam, x)
-        if x is not None:
-            return p.eval_x(x)
-        return p
+        return _specialized(build_family(name, n).poly(n), lam, x)
     if name not in SLICE_KINDS and name not in TRIANGLE_KINDS:
         raise UsageError(f"unknown table or family {name!r}")
     if x is not None:
@@ -289,9 +276,8 @@ def _eval_expr(expr: str, lam, x):
     else:
         n, k = first, int(second)
         _check_order(n)
-        # zero above the diagonal, as in Triangle.entry, however large k is
-        value = _build_triangle(name, n).entry(n, k) if k <= n else LambdaPoly.zero()
-    return value if lam is None else value.eval(lam)
+        value = _build_triangle(name, n).entry(n, k)
+    return _specialized(value, lam)
 
 
 def cmd_eval(args) -> int:
@@ -301,11 +287,7 @@ def cmd_eval(args) -> int:
         "lambda": None if args.lam is None else scalar_str(args.lam),
         "x": None if args.x is None else scalar_str(args.x),
     }
-    if args.format == "json":
-        entries = [{"expr": args.expr, "value": render_value(value)}]
-        sys.stdout.write(render_json(_document("eval", 0, entries, parameters)))
-    else:
-        sys.stdout.write(_csv_lines(("expr", "value"), [(args.expr, render_text(value))]))
+    _write_records(args, "eval", 0, parameters, ("expr", "value"), [(args.expr, value)])
     return 0
 
 

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 from .algebra import XPoly, deg_falling_factorial
 from .oracles import bell_number_classical
-from .triangles import RouteMismatchError, Workspace as TriangleWorkspace
-from .series import Series, classical_exp, compose, deg_exp, deg_log
+from .triangles import RouteMismatchError, Workspace as TriangleWorkspace, row_sums
+from .series import Series, classical_exp, compose, deg_exp
 
 
 @dataclass(frozen=True)
@@ -36,16 +36,7 @@ class PolyFamily:
 
 def _sum_route(rows, order: int):
     """polys[n] = sum over k of rows[n][k] * x(x-λ)...(x-(k-1)λ)."""
-    basis = [deg_falling_factorial(k) for k in range(order + 1)]
-    polys = []
-    for n in range(order + 1):
-        acc = XPoly.zero()
-        for k in range(n + 1):
-            c = rows[n][k]
-            if c:
-                acc = acc + basis[k] * c
-        polys.append(acc)
-    return polys
+    return row_sums(rows, [deg_falling_factorial(k) for k in range(order + 1)], order)
 
 
 def _egf_route(inner: Series, order: int):
@@ -70,23 +61,20 @@ def _validated(kind: str, order: int, sum_polys, egf_polys) -> PolyFamily:
     return PolyFamily(kind, order, tuple(sum_polys))
 
 
-def _doubled(delta: Series) -> Series:
-    """The delta series composed with itself."""
-    return compose(delta, delta)
-
-
 class FamilyKind(NamedTuple):
     triangle: str   # the triangle kind summed against the deformed falling basis
-    inner: object   # order -> the inner series of the generating function
+    inner: object   # workspace -> the inner series of the generating function
 
 
-# The one table of family kinds; the inner series look up the series layer as
-# module globals when called, so a wrapper installed on the module sees them.
+# The one table of family kinds.  The inner series of the deformed kinds are
+# the workspace's delta series, shared with the triangle routes; the others
+# look up the series layer as module globals when called, so a wrapper
+# installed on the module sees them.
 FAMILIES = {
-    "degbell": FamilyKind("s2deg", lambda order: deg_exp(1, order) - 1),
-    "newbell": FamilyKind("s2", lambda order: classical_exp(order) - 1),
-    "jindalrae": FamilyKind("j2deg", lambda order: _doubled(deg_exp(1, order) - 1)),
-    "gaenari": FamilyKind("j1deg", lambda order: _doubled(deg_log(order))),
+    "degbell": FamilyKind("s2deg", lambda ws: ws.delta("exp")),
+    "newbell": FamilyKind("s2", lambda ws: classical_exp(ws.order) - 1),
+    "jindalrae": FamilyKind("j2deg", lambda ws: ws.doubled("exp")),
+    "gaenari": FamilyKind("j1deg", lambda ws: ws.doubled("log")),
 }
 FAMILY_KINDS = tuple(FAMILIES)
 
@@ -100,7 +88,7 @@ class Workspace(TriangleWorkspace):
             spec = FAMILIES[kind]
             return (
                 _sum_route(self.tri(spec.triangle).rows, self.order),
-                _egf_route(spec.inner(self.order), self.order),
+                _egf_route(spec.inner(self), self.order),
             )
         return self._get(("family_routes", kind), build)
 

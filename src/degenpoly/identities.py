@@ -4,8 +4,24 @@ Every identity the engine is supposed to satisfy is registered here as a
 closure that yields (label, lhs, rhs) facts over a shared workspace of
 memoized triangles, families, and sequences (the engine's ``Workspace``,
 which builds every triangle and family kind from its table, plus the
-artifacts only the checks use).  ``run_suite`` evaluates each registered
-identity exactly:
+artifacts only the checks use).
+
+Most closures are built from a few shared pieces:
+
+* fact helpers: ``triangles.row_sums`` applies a triangle's rows to a
+  sequence (the one kernel behind every "Σₘ seq[m]·rows[n][m]" identity,
+  and behind the families' triangle-sum route);
+  ``_entry_facts`` and ``_member_facts`` yield one fact per entry of two
+  triangles or per member of two sequences; ``_matrix_fact`` condenses a
+  whole-matrix comparison into one fact;
+* check factories: ``_triangle_route_check`` and ``_family_route_check``
+  compare a kind's two routes, ``_product_check`` a triangle with a product
+  of two others, ``_expansion_check`` a sequence with the row sums of a
+  family, ``_slice_check`` a triangle with sums over number slices, and
+  ``_umbral_family_check`` a family with its umbral route, computed by the
+  ``umbral`` layer's own functions.
+
+``run_suite`` evaluates each registered identity exactly:
 
 * symbolically, comparing λ-polynomials / x-polynomials for structural
   equality (the strongest form: an identity that holds symbolically holds for
@@ -25,6 +41,7 @@ Results come back in registration order, so suite output is byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb, factorial
 
 from .algebra import (
@@ -38,15 +55,8 @@ from .algebra import (
 )
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q, as_scalar, is_scalar, scalar_str
-from .series import (
-    Series,
-    comp_inverse,
-    compose,
-    compositional_power,
-    deg_exp,
-    mul_inverse,
-)
-from .triangles import SLICES, convolution_rows, rows_mismatch
+from .series import Series, deg_exp, mul_inverse
+from .triangles import SLICES, convolution_rows, row_sums, rows_mismatch
 from . import families as _families
 from . import umbral as _umbral
 
@@ -130,13 +140,15 @@ class _Workspace(_families.Workspace):
         """Slices r = 0..order of a number-slice kind."""
         return self._get(("slices", kind, order), lambda: SLICES[kind](order, order))
 
-    def fall_one(self, n: int) -> LambdaPoly:
-        """(1)(1-λ)...(1-(n-1)λ)."""
-        return self._get(("fall_one", n), lambda: deg_falling_scalar(1, n))
+    def fall_at_one(self):
+        """(1)(1-λ)...(1-(n-1)λ) for n = 0..order: the deformed falling
+        factorials at x = 1."""
+        return self._get(("fall_at_one",), lambda: tuple(
+            deg_falling_scalar(1, n) for n in range(self.order + 1)))
 
 
 # ---------------------------------------------------------------------------
-# identity closures: each yields (label, lhs, rhs) facts
+# fact helpers
 # ---------------------------------------------------------------------------
 
 
@@ -146,90 +158,161 @@ def _pairs(order):
             yield n, k
 
 
+def _identity_rows(order):
+    one = LambdaPoly.one()
+    zero = LambdaPoly.zero()
+    return [[one if n == k else zero for k in range(n + 1)] for n in range(order + 1)]
+
+
+def _entry_facts(rows_a, rows_b, order, label="(n={n}, k={k})"):
+    """One fact per entry (n, k), k <= n <= order, of two triangles."""
+    for n, k in _pairs(order):
+        yield label.format(n=n, k=k), rows_a[n][k], rows_b[n][k]
+
+
+def _member_facts(seq_a, seq_b, order, start=0):
+    """One fact per member n = start..order of two sequences."""
+    for n in range(start, order + 1):
+        yield f"(n={n})", seq_a[n], seq_b[n]
+
+
+def _matrix_fact(label, rows_a, rows_b):
+    """One fact for two whole matrices: true when they agree, else their
+    first differing entry."""
+    bad = rows_mismatch(rows_a, rows_b)
+    if bad is None:
+        return label, True, True
+    n, k, a, b = bad
+    return f"{label} (n={n}, k={k})", a, b
+
+
+# ---------------------------------------------------------------------------
+# check factories: each returns a closure yielding (label, lhs, rhs) facts
+# ---------------------------------------------------------------------------
+
+
 def _triangle_route_check(kind: str):
-    """A check comparing the two routes of a triangle kind entry by entry
-    (over the rows both routes have)."""
+    """A check comparing the two routes of a triangle kind entry by entry."""
     def check(ws, order):
-        rows_a, rows_b = ws.routes(kind)
-        for n, (row_a, row_b) in enumerate(zip(rows_a[: order + 1], rows_b)):
-            for k, (a, b) in enumerate(zip(row_a, row_b)):
-                yield f"(n={n}, k={k})", a, b
+        yield from _entry_facts(*ws.routes(kind), order)
     return check
 
 
 def _family_route_check(kind: str):
     """A check comparing the two routes of a family kind member by member."""
     def check(ws, order):
-        sum_polys, egf_polys = ws.family_routes(kind)
-        for n in range(order + 1):
-            yield f"(n={n})", sum_polys[n], egf_polys[n]
+        yield from _member_facts(*ws.family_routes(kind), order)
     return check
+
+
+def _product_check(target: str, left: str, right: str, label="(n={n}, k={k})"):
+    """A check that triangle ``target`` is the product of two triangles:
+    target[n][k] = Σₘ left[n][m]·right[m][k]."""
+    def check(ws, order):
+        rows = convolution_rows(ws.tri(left).rows[: order + 1], ws.tri(right).rows)
+        yield from _entry_facts(ws.tri(target).rows, rows, order, label)
+    return check
+
+
+def _expansion_check(target, family: str, triangle: str):
+    """A check that member n of ``target`` (a family kind, or a function
+    n -> polynomial) is Σₘ family[m]·triangle[n][m]."""
+    def check(ws, order):
+        if isinstance(target, str):
+            expected = ws.family(target).polys
+        else:
+            expected = [target(n) for n in range(order + 1)]
+        sums = row_sums(ws.tri(triangle).rows, ws.family(family).polys, order)
+        yield from _member_facts(expected, sums, order)
+    return check
+
+
+def _slice_sum(table, m: int, n: int, k: int):
+    """Σ over k_m + ... + k_1 = n - k of (n-1)!/(k_1!...k_m!(k-1)!) times
+    table[n][k_m]·table[n-k_m][k_(m-1)]·...·table[k+k_1][k_1]."""
+    rest = n - k
+    acc = LambdaPoly.zero()
+    for head in product(range(rest + 1), repeat=m - 1):
+        last = rest - sum(head)
+        if last < 0:
+            continue
+        top, term, denominator = n, None, factorial(k - 1)
+        for part in head + (last,):
+            entry = table[top][part]
+            term = entry if term is None else term * entry
+            top -= part
+            denominator *= factorial(part)
+        acc = acc + term * (factorial(n - 1) // denominator)
+    return acc
+
+
+def _slice_check(slices: str, m: int, *kinds: str):
+    """A check that entry (n, k), 1 <= k <= n, of the product of the
+    ``kinds`` triangles is the m-fold slice sum of a slice kind's table."""
+    def check(ws, order):
+        rows = ws.tri(kinds[0]).rows
+        for kind in kinds[1:]:
+            rows = convolution_rows(rows[: order + 1], ws.tri(kind).rows)
+        table = ws.slice_table(slices, order)
+        for n in range(1, order + 1):
+            for k in range(1, n + 1):
+                yield f"(n={n}, k={k})", rows[n][k], _slice_sum(table, m, n, k)
+    return check
+
+
+def _umbral_family_check(seq: str, kind: str):
+    """A check that the polynomials of r²∘fall, with r the named Sheffer
+    sequence, are the members of a family kind."""
+    def check(ws, order):
+        polys = _umbral.squared_composed_polys(ws.seq(seq, order), ws.seq("fall", order))
+        yield from _member_facts(polys, ws.family(kind).polys, order)
+    return check
+
+
+# ---------------------------------------------------------------------------
+# the remaining identity closures
+# ---------------------------------------------------------------------------
 
 
 def _check_orth(ws, order):
     s1 = ws.tri("s1deg").rows
     s2 = ws.tri("s2deg").rows
-    one = LambdaPoly.one()
-    zero = LambdaPoly.zero()
+    identity = _identity_rows(order)
     for first, second, tag in ((s1, s2, "1*2"), (s2, s1, "2*1")):
-        prod = convolution_rows(first, second)
-        for n, k in _pairs(order):
-            yield f"{tag} (n={n}, k={k})", prod[n][k], one if n == k else zero
+        rows = convolution_rows(first, second)
+        yield from _entry_facts(rows, identity, order, tag + " (n={n}, k={k})")
 
 
 def _check_eq22(ws, order):
     j2 = ws.tri("j2deg").rows
-    s2 = ws.tri("s2deg").rows
     bell = ws.family_at_one("degbell")
+    sums = row_sums(ws.tri("s2deg").rows, ws.fall_at_one(), order)
     for n in range(1, order + 1):
         yield f"column 1 (n={n})", j2[n][1], bell[n]
-        acc = LambdaPoly.zero()
-        for m in range(1, n + 1):
-            acc = acc + s2[n][m] * ws.fall_one(m)
-        yield f"weighted sum (n={n})", bell[n], acc
-
-
-def _check_thm2(ws, order):
-    s2 = ws.tri("s2deg").rows
-    s1 = ws.tri("s1deg").rows
-    j2 = ws.tri("j2deg").rows
-    for n, k in _pairs(order):
-        acc = LambdaPoly.zero()
-        for m in range(k, n + 1):
-            acc = acc + j2[m][k] * s1[n][m]
-        yield f"(n={n}, k={k})", s2[n][k], acc
+        yield f"weighted sum (n={n})", bell[n], sums[n]
 
 
 def _check_eq24(ws, order):
     s2 = ws.tri("s2deg").rows
-    s1 = ws.tri("s1deg").rows
-    bell = ws.family_at_one("degbell")
+    sums = row_sums(ws.tri("s1deg").rows, ws.family_at_one("degbell"), order)
+    falls = ws.fall_at_one()
     for n in range(1, order + 1):
-        acc = LambdaPoly.zero()
-        for m in range(1, n + 1):
-            acc = acc + bell[m] * s1[n][m]
-        yield f"(n={n}) sum", s2[n][1], acc
-        yield f"(n={n}) closed form", s2[n][1], ws.fall_one(n)
+        yield f"(n={n}) sum", s2[n][1], sums[n]
+        yield f"(n={n}) closed form", s2[n][1], falls[n]
 
 
 def _check_cor3(ws, order):
-    s1 = ws.tri("s1deg").rows
-    bell = ws.family_at_one("degbell")
-    for n in range(1, order + 1):
-        acc = LambdaPoly.zero()
-        for m in range(1, n + 1):
-            acc = acc + bell[m] * s1[n][m]
-        yield f"(n={n})", acc, ws.fall_one(n)
+    sums = row_sums(ws.tri("s1deg").rows, ws.family_at_one("degbell"), order)
+    yield from _member_facts(sums, ws.fall_at_one(), order, start=1)
 
 
 def _check_cor5(ws, order):
     j1 = ws.tri("j1deg").rows
-    s1 = ws.tri("s1deg").rows
+    # the m = 0 weight is never read: s1deg[n][0] = 0 for n >= 1
+    weights = [LambdaPoly.zero()] + [lambda_shifted_falling(m) for m in range(1, order + 1)]
+    sums = row_sums(ws.tri("s1deg").rows, weights, order)
     for n in range(1, order + 1):
-        acc = LambdaPoly.zero()
-        for m in range(1, n + 1):
-            acc = acc + lambda_shifted_falling(m) * s1[n][m]
-        yield f"(n={n})", j1[n][1], acc
+        yield f"(n={n})", j1[n][1], sums[n]
 
 
 def _check_thm6(ws, order):
@@ -237,85 +320,29 @@ def _check_thm6(ws, order):
     bell_polys = ws.family("degbell").polys
     zero = LambdaPoly.zero()
     for k in range(order + 1):
-        inv_kfact = LambdaPoly.const(_inv_factorial(k))
         for n in range(order + 1):
             acc = zero
             for l in range(k + 1):
                 sign = 1 if (k - l) % 2 == 0 else -1
                 acc = acc + bell_polys[n].eval_x(l) * (sign * comb(k, l))
-            value = acc * inv_kfact
             expected = j2[n][k] if n >= k else zero
             tag = "vanishing " if n < k else ""
-            yield f"{tag}(n={n}, k={k})", value, expected
-
-
-def _inv_factorial(k: int):
-    return Q(1, factorial(k))
-
-
-def _check_thm7(ws, order):
-    s1 = ws.tri("s1deg").rows
-    s2 = ws.tri("s2deg").rows
-    j1 = ws.tri("j1deg").rows
-    for n, l in _pairs(order):
-        acc = LambdaPoly.zero()
-        for k in range(l, n + 1):
-            acc = acc + j1[n][k] * s2[k][l]
-        yield f"(n={n}, l={l})", s1[n][l], acc
+            yield f"{tag}(n={n}, k={k})", acc * Q(1, factorial(k)), expected
 
 
 def _check_eq34(ws, order):
     s1 = ws.tri("s1deg").rows
-    j1 = ws.tri("j1deg").rows
+    sums = row_sums(ws.tri("j1deg").rows, ws.fall_at_one(), order)
     for n in range(1, order + 1):
-        acc = LambdaPoly.zero()
-        for k in range(1, n + 1):
-            acc = acc + ws.fall_one(k) * j1[n][k]
-        yield f"(n={n})", s1[n][1], acc
-
-
-def _check_thm9(ws, order):
-    bell = ws.family("degbell").polys
-    jind = ws.family("jindalrae").polys
-    s1 = ws.tri("s1deg").rows
-    for n in range(order + 1):
-        acc = XPoly.zero()
-        for m in range(n + 1):
-            acc = acc + jind[m] * s1[n][m]
-        yield f"(n={n})", bell[n], acc
-
-
-def _check_thm10(ws, order):
-    bell = ws.family("degbell").polys
-    jind = ws.family("jindalrae").polys
-    s2 = ws.tri("s2deg").rows
-    for n in range(order + 1):
-        acc = XPoly.zero()
-        for m in range(n + 1):
-            acc = acc + bell[m] * s2[n][m]
-        yield f"(n={n})", jind[n], acc
-
-
-def _check_thm12(ws, order):
-    gae = ws.family("gaenari").polys
-    s2 = ws.tri("s2deg").rows
-    for n in range(order + 1):
-        acc = XPoly.zero()
-        for m in range(n + 1):
-            acc = acc + gae[m] * s2[n][m]
-        yield f"(n={n})", falling_factorial(n), acc
+        yield f"(n={n})", s1[n][1], sums[n]
 
 
 def _check_eq44(ws, order):
     numbers = ws.family_at_one("gaenari")
-    s2 = ws.tri("s2deg").rows
+    sums = row_sums(ws.tri("s2deg").rows, numbers, order)
     yield "initial value", numbers[0], LambdaPoly.one()
     for n in range(order + 1):
-        acc = LambdaPoly.zero()
-        for m in range(n + 1):
-            acc = acc + numbers[m] * s2[n][m]
-        expected = LambdaPoly.one() if n <= 1 else LambdaPoly.zero()
-        yield f"(n={n})", acc, expected
+        yield f"(n={n})", sums[n], LambdaPoly.one() if n <= 1 else LambdaPoly.zero()
 
 
 def _check_cor13(ws, order):
@@ -324,38 +351,10 @@ def _check_cor13(ws, order):
         yield f"(n={n})", numbers[n], lambda_shifted_falling(n)
 
 
-def _check_eq49(ws, order):
-    gae = ws.family("gaenari").polys
-    j2 = ws.tri("j2deg").rows
-    for n in range(order + 1):
-        acc = XPoly.zero()
-        for m in range(n + 1):
-            acc = acc + gae[m] * j2[n][m]
-        yield f"(n={n})", deg_falling_factorial(n), acc
-
-
-def _check_eq51(ws, order):
-    jind = ws.family("jindalrae").polys
-    j1 = ws.tri("j1deg").rows
-    for n in range(order + 1):
-        acc = XPoly.zero()
-        for m in range(n + 1):
-            acc = acc + jind[m] * j1[n][m]
-        yield f"(n={n})", deg_falling_factorial(n), acc
-
-
 def _check_eq52(ws, order):
-    gae = ws.family("gaenari").polys
-    jind = ws.family("jindalrae").polys
-    j2 = ws.tri("j2deg").rows
-    j1 = ws.tri("j1deg").rows
-    for n in range(order + 1):
-        left = XPoly.zero()
-        right = XPoly.zero()
-        for m in range(n + 1):
-            left = left + gae[m] * j2[n][m]
-            right = right + jind[m] * j1[n][m]
-        yield f"(n={n})", left, right
+    left = row_sums(ws.tri("j2deg").rows, ws.family("gaenari").polys, order)
+    right = row_sums(ws.tri("j1deg").rows, ws.family("jindalrae").polys, order)
+    yield from _member_facts(left, right, order)
 
 
 def _check_eq17(ws, order):
@@ -369,10 +368,8 @@ def _check_eq17(ws, order):
 
 def _check_thm14(ws, order):
     ident = ws.seq("ident", order)
-    one = LambdaPoly.one()
-    zero = LambdaPoly.zero()
-    for n, k in _pairs(order):
-        yield f"identity pair (n={n}, k={k})", ident.matrix[n][k], one if n == k else zero
+    yield from _entry_facts(
+        ident.matrix, _identity_rows(order), order, "identity pair (n={n}, k={k})")
 
     named = [
         ("t", ident),
@@ -384,13 +381,7 @@ def _check_thm14(ws, order):
         for pname, p in named:
             composed = _umbral.umbral_compose(q, p)
             regen = _umbral.sheffer_from_pair(composed.g, composed.f, order)
-            bad = rows_mismatch(composed.matrix, regen.matrix)
-            label = f"group law {qname}∘{pname}"
-            if bad is None:
-                yield label, True, True
-            else:
-                n, k, a, b = bad
-                yield f"{label} (n={n}, k={k})", a, b
+            yield _matrix_fact(f"group law {qname}∘{pname}", composed.matrix, regen.matrix)
 
     for name, s in named:
         inv = _umbral.group_inverse(s)
@@ -398,26 +389,14 @@ def _check_thm14(ws, order):
             ("right", _umbral.umbral_compose(s, inv)),
             ("left", _umbral.umbral_compose(inv, s)),
         ):
-            bad = rows_mismatch(prod.matrix, ident.matrix)
-            label = f"{tag} inverse of {name}"
-            if bad is None:
-                yield label, True, True
-            else:
-                n, k, a, b = bad
-                yield f"{label} (n={n}, k={k})", a, b
+            yield _matrix_fact(f"{tag} inverse of {name}", prod.matrix, ident.matrix)
 
     # power pairs regenerate the same matrices
     for name, r in (("log", ws.seq("s2", order)), ("appell", ws.seq("appell", order))):
         for m in (2, 3):
             powered = _umbral.umbral_power(r, m)
             regen = _umbral.sheffer_from_pair(powered.g, powered.f, order)
-            bad = rows_mismatch(powered.matrix, regen.matrix)
-            label = f"power pair {name}^({m})"
-            if bad is None:
-                yield label, True, True
-            else:
-                n, k, a, b = bad
-                yield f"{label} (n={n}, k={k})", a, b
+            yield _matrix_fact(f"power pair {name}^({m})", powered.matrix, regen.matrix)
 
 
 def _check_eq56(ws, order):
@@ -426,28 +405,7 @@ def _check_eq56(ws, order):
         for m in (2, 3):
             explicit = _umbral.umbral_power_explicit_rows(r, m)
             powered = _umbral.umbral_power(r, m).matrix
-            for n, k in _pairs(order):
-                yield f"{name} m={m} (n={n}, k={k})", explicit[n][k], powered[n][k]
-
-
-def _umbral_family_polys(ws, seq_name: str, order: int):
-    r = ws.seq(seq_name, order)
-    fall = ws.seq("fall", order)
-    return _umbral.umbral_compose(_umbral.umbral_power(r, 2), fall).polys()
-
-
-def _check_eq60(ws, order):
-    polys = _umbral_family_polys(ws, "s2", order)
-    direct = ws.family("jindalrae").polys
-    for n in range(order + 1):
-        yield f"(n={n})", polys[n], direct[n]
-
-
-def _check_eq66(ws, order):
-    polys = _umbral_family_polys(ws, "s1", order)
-    direct = ws.family("gaenari").polys
-    for n in range(order + 1):
-        yield f"(n={n})", polys[n], direct[n]
+            yield from _entry_facts(explicit, powered, order, f"{name} m={m} (n={{n}}, k={{k}})")
 
 
 def _check_cor15(ws, order):
@@ -457,90 +415,11 @@ def _check_cor15(ws, order):
         "s2": ws.family("jindalrae").polys,
         "s1": ws.family("gaenari").polys,
     }
-    for name in ("ident", "s2", "s1"):
-        r = ws.seq(name, order)
-        composed = _umbral.umbral_compose(_umbral.umbral_power(r, 2), fall)
-        lhs = composed.egf()
-        ell_bar = compositional_power(comp_inverse(r.f), 2)
-        rhs = compose(fall.egf(), ell_bar.lift())
+    for name, target in targets.items():
+        composed, lhs, rhs = _umbral.corollary15_sides(ws.seq(name, order), fall, 2, order)
         for n in range(order + 1):
             yield f"{name} substitution (n={n})", lhs.coeffs[n], rhs.coeffs[n]
-            yield (
-                f"{name} generating coefficient (n={n})",
-                composed.poly(n),
-                targets[name][n],
-            )
-
-
-def _check_s31_m1(ws, order):
-    s2 = ws.tri("s2deg").rows
-    table = ws.slice_table("korobov", order)
-    for n in range(1, order + 1):
-        for k in range(1, n + 1):
-            yield f"(n={n}, k={k})", s2[n][k], table[n][n - k] * comb(n - 1, k - 1)
-
-
-def _check_s32_m1(ws, order):
-    s1 = ws.tri("s1deg").rows
-    table = ws.slice_table("degbernoulli", order)
-    for n in range(1, order + 1):
-        for k in range(1, n + 1):
-            yield f"(n={n}, k={k})", s1[n][k], table[n][n - k] * comb(n - 1, k - 1)
-
-
-def _two_slice_convolution(rows, table, order):
-    for n in range(1, order + 1):
-        for k in range(1, n + 1):
-            acc = LambdaPoly.zero()
-            for k2 in range(n - k + 1):
-                k1 = n - k - k2
-                coeff = factorial(n - 1) // (
-                    factorial(k1) * factorial(k2) * factorial(k - 1)
-                )
-                acc = acc + table[n][k2] * table[n - k2][k1] * coeff
-            yield f"(n={n}, k={k})", rows[n][k], acc
-
-
-def _check_s31_m2(ws, order):
-    yield from _two_slice_convolution(ws.tri("j2deg").rows, ws.slice_table("korobov", order), order)
-
-
-def _check_s32_m2(ws, order):
-    yield from _two_slice_convolution(ws.tri("j1deg").rows, ws.slice_table("degbernoulli", order), order)
-
-
-def _three_slice_convolution(rows3, table, order):
-    for n in range(1, order + 1):
-        for k in range(1, n + 1):
-            acc = LambdaPoly.zero()
-            for k3 in range(n - k + 1):
-                for k2 in range(n - k - k3 + 1):
-                    k1 = n - k - k3 - k2
-                    coeff = factorial(n - 1) // (
-                        factorial(k1)
-                        * factorial(k2)
-                        * factorial(k3)
-                        * factorial(k - 1)
-                    )
-                    acc = acc + (
-                        table[n][k3]
-                        * table[n - k3][k2]
-                        * table[n - k3 - k2][k1]
-                        * coeff
-                    )
-            yield f"(n={n}, k={k})", rows3[n][k], acc
-
-
-def _check_s31_m3(ws, order):
-    s2 = ws.tri("s2deg").rows
-    cube = convolution_rows(convolution_rows(s2, s2), s2)
-    yield from _three_slice_convolution(cube, ws.slice_table("korobov", order), order)
-
-
-def _check_s32_m3(ws, order):
-    s1 = ws.tri("s1deg").rows
-    cube = convolution_rows(convolution_rows(s1, s1), s1)
-    yield from _three_slice_convolution(cube, ws.slice_table("degbernoulli", order), order)
+            yield f"{name} generating coefficient (n={n})", composed.poly(n), target[n]
 
 
 def _check_degbound(ws, order):
@@ -572,39 +451,39 @@ _REGISTRY = (
     _Identity("orth", "first- and second-kind degenerate triangles are mutually inverse", _check_orth),
     _Identity("thm1", "iterated second-kind numbers equal the self-convolution of the second-kind triangle", _triangle_route_check("j2deg")),
     _Identity("eq22", "column one of the iterated second-kind triangle gives the deformed Bell numbers", _check_eq22),
-    _Identity("thm2", "second-kind entries recovered from iterated second-kind and first-kind entries", _check_thm2),
+    _Identity("thm2", "second-kind entries recovered from iterated second-kind and first-kind entries", _product_check("s2deg", "s1deg", "j2deg")),
     _Identity("eq24", "column one of the second-kind triangle via Bell numbers and first-kind weights", _check_eq24),
     _Identity("cor3", "first-kind-weighted deformed Bell numbers collapse to the deformed falling factorial of 1", _check_cor3),
     _Identity("thm4", "iterated first-kind numbers equal the self-convolution of the first-kind triangle", _triangle_route_check("j1deg")),
     _Identity("cor5", "column one of the iterated first-kind triangle via shifted falling factorials", _check_cor5),
     _Identity("thm6", "iterated second-kind numbers as alternating sums of deformed Bell values at integers (zero above the diagonal)", _check_thm6),
-    _Identity("thm7", "first-kind entries recovered from iterated first-kind and second-kind entries", _check_thm7),
+    _Identity("thm7", "first-kind entries recovered from iterated first-kind and second-kind entries", _product_check("s1deg", "j1deg", "s2deg", "(n={n}, l={k})")),
     _Identity("eq34", "column one of the first-kind triangle via iterated first-kind weights", _check_eq34),
     _Identity("eq14", "deformed Bell polynomials: triangle sum equals series extraction", _family_route_check("degbell")),
     _Identity("newbell", "new-type Bell polynomials: classical-triangle sum equals series extraction", _family_route_check("newbell")),
     _Identity("thm8", "Jindalrae polynomials: iterated-triangle sum equals series extraction", _family_route_check("jindalrae")),
-    _Identity("thm9", "deformed Bell polynomials as first-kind-weighted Jindalrae polynomials", _check_thm9),
-    _Identity("thm10", "Jindalrae polynomials as second-kind-weighted deformed Bell polynomials", _check_thm10),
+    _Identity("thm9", "deformed Bell polynomials as first-kind-weighted Jindalrae polynomials", _expansion_check("degbell", "jindalrae", "s1deg")),
+    _Identity("thm10", "Jindalrae polynomials as second-kind-weighted deformed Bell polynomials", _expansion_check("jindalrae", "degbell", "s2deg")),
     _Identity("thm11", "Gaenari polynomials: iterated-triangle sum equals series extraction", _family_route_check("gaenari")),
-    _Identity("thm12", "plain falling factorials as second-kind-weighted Gaenari polynomials", _check_thm12),
+    _Identity("thm12", "plain falling factorials as second-kind-weighted Gaenari polynomials", _expansion_check(falling_factorial, "gaenari", "s2deg")),
     _Identity("eq44", "second-kind-weighted Gaenari numbers vanish beyond the first two rows", _check_eq44),
     _Identity("cor13", "Gaenari numbers equal the shifted falling factorial of λ", _check_cor13),
-    _Identity("eq49", "deformed falling factorials as iterated-second-kind-weighted Gaenari polynomials", _check_eq49),
-    _Identity("eq51", "deformed falling factorials as iterated-first-kind-weighted Jindalrae polynomials", _check_eq51),
+    _Identity("eq49", "deformed falling factorials as iterated-second-kind-weighted Gaenari polynomials", _expansion_check(deg_falling_factorial, "gaenari", "j2deg")),
+    _Identity("eq51", "deformed falling factorials as iterated-first-kind-weighted Jindalrae polynomials", _expansion_check(deg_falling_factorial, "jindalrae", "j1deg")),
     _Identity("eq52", "the two dual expansions of the deformed falling factorial agree", _check_eq52),
     _Identity("eq17", "doubly-composed classical triangle: column one gives the Bell numbers", _check_eq17, cap=10),
     _Identity("eq19", "doubly-composed classical triangle: convolution equals the multinomial Bell sum", _triangle_route_check("t"), cap=8),
     _Identity("thm14", "umbral composition group law, identity, inverses, and power pairs", _check_thm14, cap=10),
     _Identity("eq56", "umbral powers equal the explicit multi-index coefficient sums", _check_eq56, cap=10),
-    _Identity("eq60", "Jindalrae polynomials via the squared second-kind sequence", _check_eq60),
-    _Identity("eq66", "Gaenari polynomials via the squared first-kind sequence", _check_eq66),
+    _Identity("eq60", "Jindalrae polynomials via the squared second-kind sequence", _umbral_family_check("s2", "jindalrae")),
+    _Identity("eq66", "Gaenari polynomials via the squared first-kind sequence", _umbral_family_check("s1", "gaenari")),
     _Identity("cor15", "composing with a squared associated sequence substitutes the doubled inverse map", _check_cor15, cap=10),
-    _Identity("s31-m1", "second-kind entries from single binomial-weighted log-quotient slices", _check_s31_m1, cap=10),
-    _Identity("s31-m2", "iterated second-kind entries from paired log-quotient slices", _check_s31_m2, cap=10),
-    _Identity("s32-m1", "first-kind entries from single binomial-weighted exp-quotient slices", _check_s32_m1, cap=10),
-    _Identity("s32-m2", "iterated first-kind entries from paired exp-quotient slices", _check_s32_m2, cap=10),
-    _Identity("s31-m3", "triple-convolved second-kind entries from log-quotient slices (stretch)", _check_s31_m3, cap=8, stretch=True),
-    _Identity("s32-m3", "triple-convolved first-kind entries from exp-quotient slices (stretch)", _check_s32_m3, cap=8, stretch=True),
+    _Identity("s31-m1", "second-kind entries from single binomial-weighted log-quotient slices", _slice_check("korobov", 1, "s2deg"), cap=10),
+    _Identity("s31-m2", "iterated second-kind entries from paired log-quotient slices", _slice_check("korobov", 2, "j2deg"), cap=10),
+    _Identity("s32-m1", "first-kind entries from single binomial-weighted exp-quotient slices", _slice_check("degbernoulli", 1, "s1deg"), cap=10),
+    _Identity("s32-m2", "iterated first-kind entries from paired exp-quotient slices", _slice_check("degbernoulli", 2, "j1deg"), cap=10),
+    _Identity("s31-m3", "triple-convolved second-kind entries from log-quotient slices (stretch)", _slice_check("korobov", 3, "s2deg", "s2deg", "s2deg"), cap=8, stretch=True),
+    _Identity("s32-m3", "triple-convolved first-kind entries from exp-quotient slices (stretch)", _slice_check("degbernoulli", 3, "s1deg", "s1deg", "s1deg"), cap=8, stretch=True),
     _Identity("degbound", "degenerate triangle entries have λ-degree at most n-k", _check_degbound),
     _Identity("classical", "λ=0 degenerations match the enumeration and expansion oracles", _check_classical, cap=10),
 )
@@ -623,10 +502,6 @@ def describe_identities():
     return tuple((i.identity_id, i.description, i.stretch) for i in _REGISTRY)
 
 
-def _value_equal(lhs, rhs) -> bool:
-    return lhs == rhs
-
-
 def _value_at(value, lam):
     if isinstance(value, LambdaPoly):
         return value.eval(lam)
@@ -636,13 +511,26 @@ def _value_at(value, lam):
 
 
 def _render(value) -> str:
-    if isinstance(value, (LambdaPoly, XPoly)):
-        return str(value)
-    if isinstance(value, bool):
+    if isinstance(value, (LambdaPoly, XPoly, bool)):
         return str(value)
     if is_scalar(value):
         return scalar_str(value)
     return repr(value)
+
+
+def _first_failure(facts, lambda_values):
+    """The witness of the first fact that fails, symbolically and then at each
+    λ value in turn; None when every fact holds."""
+    for label, lhs, rhs in facts:
+        if lhs != rhs:
+            return f"{label}: {_render(lhs)} != {_render(rhs)}"
+    for lam in lambda_values:
+        for label, lhs, rhs in facts:
+            left = _value_at(lhs, lam)
+            right = _value_at(rhs, lam)
+            if left != right:
+                return f"{label} at λ={scalar_str(lam)}: {_render(left)} != {_render(right)}"
+    return None
 
 
 def run_suite(config: SuiteConfig | None = None):
@@ -665,36 +553,12 @@ def run_suite(config: SuiteConfig | None = None):
     results = []
     for ident in selected:
         order = min(config.order, ident.cap) if ident.cap else config.order
-        witness = None
-        status = "fail"
         try:
             facts = list(ident.fn(ws, order))
-            for label, lhs, rhs in facts:
-                if not _value_equal(lhs, rhs):
-                    witness = f"{label}: {_render(lhs)} != {_render(rhs)}"
-                    break
-            if witness is None:
-                for lam in config.lambda_specializations:
-                    for label, lhs, rhs in facts:
-                        left = _value_at(lhs, lam)
-                        right = _value_at(rhs, lam)
-                        if left != right:
-                            witness = (
-                                f"{label} at λ={scalar_str(lam)}: "
-                                f"{_render(left)} != {_render(right)}"
-                            )
-                            break
-                    if witness is not None:
-                        break
+            witness = _first_failure(facts, config.lambda_specializations)
+            status = "fail" if witness else "pass"
         except Exception as exc:  # a bug in the engine or the check, not a disproof
             status = "error"
             witness = f"{type(exc).__name__}: {exc}"
-        results.append(
-            CheckResult(
-                ident.identity_id,
-                order,
-                status if witness else "pass",
-                witness,
-            )
-        )
+        results.append(CheckResult(ident.identity_id, order, status, witness))
     return results

@@ -6,9 +6,8 @@ over one shared denominator (see ``algebra``).  Rational scalars appear only
 where values cross into or out of that storage — parsing "p/q" text,
 constructor arguments, scalar factors such as 1/n!, ``coeffs`` and ``eval``
 results, and rendering.  ``Q`` is the rational type used there:
-``fractions.Fraction``, or gmpy2's ``mpq`` when the optional ``gmpy`` extra is
-installed.  Both are always in lowest terms with a positive denominator, and
-both render as "num/den" with the denominator omitted when it is 1, which is
+``fractions.Fraction``, always in lowest terms with a positive denominator,
+and rendered as "num/den" with the denominator omitted when it is 1, which is
 the canonical text form used throughout the CLI output.
 
 Plain ``int`` values are accepted anywhere a scalar is: mixed int/rational
@@ -20,14 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # gmpy2 is the optional ``gmpy`` extra
-    Q = Fraction
+Q = Fraction
 
-Scalar = object  # int | Fraction | Q; kept loose on purpose
+Scalar = object  # int | Fraction; kept loose on purpose
 
-_SCALAR_TYPES = (int, Fraction, type(Q(0)))
+_SCALAR_TYPES = (int, Fraction)
 
 QZERO = Q(0)
 QONE = Q(1)

@@ -8,7 +8,9 @@ for the degenerate families.  A route disagreement raises
 ``RouteMismatchError`` -- it signals an engine bug, never bad input.
 
 Routes per kind, all in the one ``TRIANGLES`` table (a ``Workspace`` builds
-a kind's routes once, after the kinds they read, and validates them):
+a kind's routes once, after the kinds and series they read, and validates
+them; the delta series e_λ(t)-1 and log_λ(1+t) and their self-compositions
+are built once per workspace and shared with the family routes):
 
 * second-kind degenerate ("s2deg"): EGF extraction from powers of e_λ(t)-1
   versus the triangular change of basis expressing x(x-λ)...(x-(n-1)λ) in the
@@ -50,10 +52,11 @@ class Triangle:
     rows: tuple
 
     def entry(self, n: int, k: int) -> LambdaPoly:
+        """Entry (n, k); zero above the diagonal (k > n), however large k is."""
         if not 0 <= n <= self.order:
             raise IndexError(f"row {n} beyond stored order {self.order}")
-        if not 0 <= k <= self.order:
-            raise IndexError(f"column {k} beyond stored order {self.order}")
+        if k < 0:
+            raise IndexError(f"negative column {k}")
         if k > n:
             return LambdaPoly.zero()
         return self.rows[n][k]
@@ -144,6 +147,21 @@ def convolution_rows(rows_a, rows_b):
     return out
 
 
+def row_sums(rows, seq, order: int):
+    """[Σₘ seq[m]·rows[n][m] for n = 0..order]: a triangle's rows applied to a
+    sequence of λ- or x-polynomials, skipping zero terms as convolution_rows
+    does."""
+    zero = type(seq[-1]).zero()
+    sums = []
+    for n in range(order + 1):
+        acc = zero
+        for m, c in enumerate(rows[n]):
+            if c and seq[m]:
+                acc = acc + seq[m] * c
+        sums.append(acc)
+    return sums
+
+
 def lambda_zero_rows(rows):
     """Specialise triangular LambdaPoly rows at λ = 0 (constant entries)."""
     return [[LambdaPoly.const(c.eval(0)) for c in row] for row in rows]
@@ -200,12 +218,11 @@ def _series_vs_basis(ws, delta: Series, targets, basis):
     )
 
 
-def _series_vs_convolution(ws, delta: Series, single: str):
+def _series_vs_convolution(ws, doubled: Series, single: str):
     """Powers of a delta series composed with itself versus the
     self-convolution of the single-level triangle."""
     rows = ws.tri(single).rows
-    return (egf_triangle_rows(compose(delta, delta), ws.order),
-            convolution_rows(rows, rows))
+    return egf_triangle_rows(doubled, ws.order), convolution_rows(rows, rows)
 
 
 def _specialised_vs_oracle(ws, degenerate: str, oracle):
@@ -240,26 +257,32 @@ TRIANGLES = {
         "λ=0 vs partition enumeration"),
     "s1deg": TriangleKind(
         lambda ws: _series_vs_basis(
-            ws, deg_log(ws.order), falling_factorial, deg_falling_factorial),
+            ws, ws.delta("log"), falling_factorial, deg_falling_factorial),
         "series vs basis change"),
     "s2deg": TriangleKind(
         lambda ws: _series_vs_basis(
-            ws, deg_exp(1, ws.order) - 1, deg_falling_factorial, falling_factorial),
+            ws, ws.delta("exp"), deg_falling_factorial, falling_factorial),
         "series vs basis change"),
     "j1deg": TriangleKind(
-        lambda ws: _series_vs_convolution(ws, deg_log(ws.order), "s1deg"),
+        lambda ws: _series_vs_convolution(ws, ws.doubled("log"), "s1deg"),
         "series vs self-convolution"),
     "j2deg": TriangleKind(
-        lambda ws: _series_vs_convolution(ws, deg_exp(1, ws.order) - 1, "s2deg"),
+        lambda ws: _series_vs_convolution(ws, ws.doubled("exp"), "s2deg"),
         "series vs self-convolution"),
     "t": TriangleKind(_convolution_vs_multinomial, "convolution vs multinomial"),
 }
 TRIANGLE_KINDS = tuple(TRIANGLES)
 
+# The delta series shared by triangle routes and family generating functions.
+_DELTAS = {
+    "exp": lambda order: deg_exp(1, order) - 1,  # e_λ(t) - 1
+    "log": lambda order: deg_log(order),         # log_λ(1 + t)
+}
+
 
 class Workspace:
     """Memoised artifacts at one order: each kind's two routes are built once,
-    from the kinds they depend on, and validated once."""
+    from the kinds and delta series they depend on, and validated once."""
 
     def __init__(self, order: int):
         self.order = order
@@ -269,6 +292,15 @@ class Workspace:
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
+
+    def delta(self, name: str) -> Series:
+        """e_λ(t) - 1 ("exp") or log_λ(1 + t) ("log") at the workspace order."""
+        return self._get(("delta", name), lambda: _DELTAS[name](self.order))
+
+    def doubled(self, name: str) -> Series:
+        """A delta series composed with itself."""
+        return self._get(("doubled", name),
+                         lambda: compose(self.delta(name), self.delta(name)))
 
     def routes(self, kind: str):
         """Both routes of a triangle kind, as (rows_a, rows_b)."""

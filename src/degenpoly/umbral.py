@@ -253,8 +253,7 @@ def gaenari_via_umbral(order: int, direct: PolyFamily | None = None) -> PolyFami
 
 
 def _family_via_umbral(kind: str, r: ShefferSeq, order: int, direct: PolyFamily) -> PolyFamily:
-    composed = umbral_compose(umbral_power(r, 2), falling_factorial_sequence(order))
-    polys = composed.polys()
+    polys = squared_composed_polys(r, falling_factorial_sequence(order))
     for n in range(order + 1):
         if polys[n] != direct.poly(n):
             raise RouteMismatchError(
@@ -264,10 +263,18 @@ def _family_via_umbral(kind: str, r: ShefferSeq, order: int, direct: PolyFamily)
     return PolyFamily(kind, order, polys)
 
 
-def corollary15_check(r: ShefferSeq, s: ShefferSeq, m: int, order: int) -> bool:
-    """Verify that composing with the m-fold power of an associated sequence r
-    substitutes the m-fold inverse of r's delta series into s's generating
-    series."""
+def squared_composed_polys(r: ShefferSeq, fall: ShefferSeq) -> tuple:
+    """The polynomials of r²∘fall: the Jindalrae polynomials when r is the
+    second-kind sequence and fall the deformed falling factorials, the
+    Gaenari polynomials when r is the first-kind sequence."""
+    return umbral_compose(umbral_power(r, 2), fall).polys()
+
+
+def corollary15_sides(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
+    """The two series Corollary 15 equates, truncated at order (or at the
+    sequences' order, if lower): the generating series of r^m∘s, and s's
+    generating series with the m-fold compositional power of the inverse of
+    r's delta series substituted.  Returns (r^m∘s, lhs, rhs)."""
     if not r.is_associated():
         raise ValueError("r must be an associated sequence (unit invertible part)")
     if m < 1:
@@ -277,4 +284,12 @@ def corollary15_check(r: ShefferSeq, s: ShefferSeq, m: int, order: int) -> bool:
     lhs = composed.egf().truncate(order)
     ell_bar = compositional_power(comp_inverse(r.f.truncate(order)), m)
     rhs = compose(s.egf().truncate(order), ell_bar.lift())
+    return composed, lhs, rhs
+
+
+def corollary15_check(r: ShefferSeq, s: ShefferSeq, m: int, order: int) -> bool:
+    """Verify that composing with the m-fold power of an associated sequence r
+    substitutes the m-fold inverse of r's delta series into s's generating
+    series."""
+    _, lhs, rhs = corollary15_sides(r, s, m, order)
     return lhs == rhs

@@ -71,8 +71,8 @@ def test_a_wrong_family_sum_names_the_kind(monkeypatch, kind):
 def test_a_wrong_family_series_names_the_kind(monkeypatch, kind):
     spec = FAMILIES[kind]
 
-    def inner(order):
-        coeffs = list(spec.inner(order).coeffs)
+    def inner(ws):
+        coeffs = list(spec.inner(ws).coeffs)
         coeffs[3] = coeffs[3] + LambdaPoly.one()
         return Series(LambdaPoly, coeffs)
 

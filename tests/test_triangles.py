@@ -238,7 +238,9 @@ class TestTriangleType:
         with pytest.raises(IndexError):
             s2.entry(N + 1, 0)
         with pytest.raises(IndexError):
-            s2.entry(2, N + 1)
+            s2.entry(2, -1)
+        # every entry above the diagonal is zero, even beyond the stored order
+        assert s2.entry(2, N + 1) == LambdaPoly.zero()
 
     def test_degree_bound(self, s1, s2):
         for n in range(N + 1):
