@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from degenpoly.algebra import LambdaPoly, XPoly, specialize
 from degenpoly.scalars import Q
+from degenpoly.scalars import QONE
 from degenpoly.series import (
     Series,
     classical_exp,
@@ -203,6 +204,31 @@ def test_random_delta_round_trip(f):
     fbar = comp_inverse(f)
     assert compose(f, fbar) == Series.identity(LambdaPoly, 10)
     assert compose(fbar, f) == Series.identity(LambdaPoly, 10)
+
+
+def order_by_order_inverse(f):
+    """The solver comp_inverse used before Lagrange inversion, kept as a
+    reference: the t^n coefficient of f(g) is linear in g's n-th
+    coefficient, with f's linear coefficient as its factor."""
+    inv = QONE / f.coeffs[1].constant_value()
+    zero = f.ring.zero()
+    g = [zero, f.ring.one() * inv]
+    for n in range(2, f.order + 1):
+        residual = compose(f.truncate(n), Series(f.ring, g + [zero])).coeffs[n]
+        g.append(-residual * inv)
+    return Series(f.ring, g)
+
+
+# nonzero linear coefficients, so t/f has a non-unit constant term
+linear_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(
+    lambda q: abs(q) >= Q(1, 3))
+
+
+@settings(max_examples=15, deadline=None)
+@given(linear_coeff, delta_series(10))
+def test_comp_inverse_matches_order_by_order_solver(lead, f):
+    f = f.scale(lead)
+    assert comp_inverse(f) == order_by_order_inverse(f)
 
 
 @settings(max_examples=15, deadline=None)
