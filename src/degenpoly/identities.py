@@ -317,14 +317,15 @@ def _check_cor5(ws, order):
 
 def _check_thm6(ws, order):
     j2 = ws.tri("j2deg").rows
-    bell_polys = ws.family("degbell").polys
+    # bell[n][l]: each deformed Bell polynomial at each integer l, once
+    bell = [[p.eval_x(l) for l in range(order + 1)] for p in ws.family("degbell").polys]
     zero = LambdaPoly.zero()
     for k in range(order + 1):
         for n in range(order + 1):
             acc = zero
             for l in range(k + 1):
                 sign = 1 if (k - l) % 2 == 0 else -1
-                acc = acc + bell_polys[n].eval_x(l) * (sign * comb(k, l))
+                acc = acc + bell[n][l] * (sign * comb(k, l))
             expected = j2[n][k] if n >= k else zero
             tag = "vanishing " if n < k else ""
             yield f"{tag}(n={n}, k={k})", acc * Q(1, factorial(k)), expected

@@ -21,6 +21,9 @@ The two structural constructors:
 
 ``deg_log`` and ``deg_exp(1) - 1`` are compositional inverses of one another,
 which the test suite checks coefficientwise and through round trips.
+
+Powers of a series are read from one running power, ``powers``; so is
+``comp_inverse``, by Lagrange inversion: [t^n] fbar = (1/n) [t^(n-1)] (t/f)^n.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from math import factorial
 
 from .algebra import LambdaPoly, XPoly, lambda_shifted_falling
-from .scalars import QONE, as_scalar, is_scalar, scalar_inv
+from .scalars import QONE, is_scalar, scalar_inv
 
 
 class Series:
@@ -186,28 +189,19 @@ def deg_exp(exponent, order: int) -> Series:
     if order < 0:
         raise ValueError("order must be nonnegative")
     if is_scalar(exponent):
-        base = as_scalar(exponent)
-        prod = LambdaPoly.one()
-        coeffs = [prod]
-        fact = 1
-        for n in range(1, order + 1):
-            prod = prod * LambdaPoly((base, as_scalar(-(n - 1))))
-            fact *= n
-            coeffs.append(prod * (QONE / fact))
-        return Series(LambdaPoly, coeffs)
-    if isinstance(exponent, LambdaPoly):
+        exponent = LambdaPoly.const(exponent)
+    elif isinstance(exponent, LambdaPoly):
         exponent = XPoly.const(exponent)
-    if not isinstance(exponent, XPoly):
+    elif not isinstance(exponent, XPoly):
         raise TypeError(f"exponent must be a scalar or XPoly, got {type(exponent).__name__}")
-    prod = XPoly.one()
+    prod = type(exponent).one()
     coeffs = [prod]
     fact = 1
     for n in range(1, order + 1):
-        step = exponent + XPoly.const(LambdaPoly((0, -(n - 1))))
-        prod = prod * step
+        prod = prod * (exponent + LambdaPoly((0, 1 - n)))
         fact *= n
         coeffs.append(prod * (QONE / fact))
-    return Series(XPoly, coeffs)
+    return Series(type(exponent), coeffs)
 
 
 def deg_log(order: int) -> Series:
@@ -256,9 +250,9 @@ def compose(outer: Series, inner: Series) -> Series:
 def comp_inverse(f: Series) -> Series:
     """Compositional inverse: the series g with f(g(t)) = g(f(t)) = t.
 
-    Solved order by order: the t^n coefficient of f(g) is linear in the n-th
-    unknown with the (invertible) linear coefficient of f as its factor.
-    Requires f(0) = 0 and a λ-free nonzero rational linear coefficient.
+    Lagrange inversion: [t^n] g = (1/n) [t^(n-1)] φ^n with φ = t/f(t), read
+    from one running power of φ.  Requires f(0) = 0 and a λ-free nonzero
+    rational linear coefficient (the invertible constant term of φ).
     """
     if f.coeffs[0]:
         raise ValueError(
@@ -266,20 +260,15 @@ def comp_inverse(f: Series) -> Series:
         )
     if f.order < 1:
         raise ValueError("cannot invert a series truncated below order 1")
-    lead = unit_scalar(f.coeffs[1])
-    if lead is None:
+    if unit_scalar(f.coeffs[1]) is None:
         raise ValueError(
             f"linear coefficient {f.coeffs[1]} is not an invertible rational constant"
         )
-    inv = scalar_inv(lead)
-    ring = f.ring
-    zero = ring.zero()
-    g = [zero, ring.one() * inv]
-    for n in range(2, f.order + 1):
-        partial = Series(ring, g + [zero] * (n - len(g)) + [zero])
-        residual = compose(f.truncate(n), partial).coeffs[n]
-        g.append(-residual * inv)
-    return Series(ring, g + [zero] * (f.order + 1 - len(g)))
+    phi = mul_inverse(f.shift_down())
+    return Series(f.ring, [f.ring.zero()] + [
+        power.coeffs[n - 1] * (QONE / n)
+        for n, power in enumerate(powers(phi, phi, f.order - 1), 1)
+    ])
 
 
 def mul_inverse(f: Series) -> Series:
@@ -309,10 +298,17 @@ def scaled_power(f: Series, k: int) -> Series:
         raise ValueError("power must be nonnegative")
     if k == 0:
         return Series.one(f.ring, f.order)
-    result = f
-    for _ in range(k - 1):
-        result = result * f
-    return result.scale(QONE / factorial(k))
+    *_, power = powers(f, f, k - 1)
+    return power.scale(QONE / factorial(k))
+
+
+def powers(start: Series, f: Series, count: int):
+    """start, start·f, ..., start·f^count: count multiplies, none past the
+    last power."""
+    yield start
+    for _ in range(count):
+        start = start * f
+        yield start
 
 
 def compositional_power(f: Series, m: int) -> Series:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .algebra import LambdaPoly, deg_falling_factorial, falling_factorial
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q
-from .series import Series, compose, deg_exp, deg_log, mul_inverse
+from .series import Series, compose, deg_exp, deg_log, mul_inverse, powers
 
 _ORACLE_CHECK_LIMIT = 10
 
@@ -89,20 +89,17 @@ def _validated(kind: str, order: int, rows_a, rows_b, what: str) -> Triangle:
     return Triangle(kind, order, tuple(tuple(row) for row in rows_a))
 
 
-def egf_triangle_rows(f: Series, order: int):
-    """rows[n][k] = n!/k! * [t^n] f(t)^k for a delta series f."""
+def egf_triangle_rows(f: Series, order: int, prefactor: Series | None = None):
+    """rows[n][k] = n!/k! * [t^n] prefactor(t)·f(t)^k for a delta series f,
+    with prefactor 1 when omitted (a Sheffer matrix passes its 1/g(fbar))."""
     if f.coeffs[0]:
         raise ValueError("EGF extraction needs a delta series")
     facts = [factorial(n) for n in range(order + 1)]
-    zero = LambdaPoly.zero()
-    rows = [[zero] * (n + 1) for n in range(order + 1)]
-    rows[0][0] = LambdaPoly.one()
-    power = Series.one(LambdaPoly, order)
-    for k in range(1, order + 1):
-        power = power * f
-        scale_k = facts[k]
+    start = Series.one(LambdaPoly, order) if prefactor is None else prefactor
+    rows = [[] for _ in range(order + 1)]
+    for k, power in enumerate(powers(start, f, order)):
         for n in range(k, order + 1):
-            rows[n][k] = power.coeffs[n] * Q(facts[n], scale_k)
+            rows[n].append(power.coeffs[n] * Q(facts[n], facts[k]))
     return rows
 
 
@@ -363,14 +360,8 @@ def _power_slices(base: Series, order: int, max_r: int):
     if max_r < 1:
         raise ValueError("slice order r must be >= 1")
     facts = [factorial(n) for n in range(order + 1)]
-    table = [tuple(
-        LambdaPoly.one() if n == 0 else LambdaPoly.zero() for n in range(order + 1)
-    )]
-    power = Series.one(LambdaPoly, order)
-    for _ in range(max_r):
-        power = power * base
-        table.append(tuple(power.coeffs[n] * facts[n] for n in range(order + 1)))
-    return table
+    return [tuple(power.coeffs[n] * facts[n] for n in range(order + 1))
+            for power in powers(Series.one(LambdaPoly, order), base, max_r)]
 
 
 def korobov_table(order: int, max_r: int):

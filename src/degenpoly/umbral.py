@@ -32,7 +32,7 @@ from math import factorial
 
 from .algebra import LambdaPoly, XPoly, deg_falling_factorial
 from .families import PolyFamily, gaenari as _gaenari_direct, jindalrae as _jindalrae_direct
-from .scalars import Q, QONE
+from .scalars import QONE
 from .series import (
     Series,
     comp_inverse,
@@ -43,7 +43,7 @@ from .series import (
     mul_inverse,
     unit_scalar,
 )
-from .triangles import RouteMismatchError, convolution_rows
+from .triangles import RouteMismatchError, convolution_rows, egf_triangle_rows
 
 
 @dataclass(frozen=True)
@@ -89,27 +89,16 @@ def sheffer_from_pair(g: Series, f: Series, order: int) -> ShefferSeq:
         )
     if unit_scalar(g.coeffs[0]) is None:
         raise ValueError(f"g is not invertible: constant term {g.coeffs[0]}")
-    if f.coeffs[0] or order >= 1 and unit_scalar(f.coeffs[1]) is None:
+    if f.coeffs[0] or unit_scalar(f.coeffs[1]) is None:
         raise ValueError(
             f"f is not a delta series with invertible linear term "
-            f"(constant {f.coeffs[0]}, linear {f.coeffs[1] if f.order else 0})"
+            f"(constant {f.coeffs[0]}, linear {f.coeffs[1]})"
         )
     g = g.truncate(order)
     f = f.truncate(order)
     fbar = comp_inverse(f)
-    one = Series.one(LambdaPoly, order)
-    prefactor = one if g == one else mul_inverse(compose(g, fbar))
-
-    facts = [factorial(n) for n in range(order + 1)]
-    rows = [[prefactor.coeffs[0]]] + [
-        [prefactor.coeffs[n] * facts[n]] + [LambdaPoly.zero()] * n
-        for n in range(1, order + 1)
-    ]
-    column = prefactor
-    for k in range(1, order + 1):
-        column = column * fbar
-        for n in range(k, order + 1):
-            rows[n][k] = column.coeffs[n] * Q(facts[n], facts[k])
+    prefactor = None if g == Series.one(LambdaPoly, order) else mul_inverse(compose(g, fbar))
+    rows = egf_triangle_rows(fbar, order, prefactor)
     for n in range(order + 1):
         if not rows[n][n]:
             raise RouteMismatchError(f"degenerate pair: zero diagonal entry at n={n}")

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from degenpoly.algebra import LambdaPoly, XPoly, specialize
 from degenpoly.scalars import Q
-from degenpoly.scalars import QONE
 from degenpoly.series import (
     Series,
     classical_exp,
@@ -15,6 +14,7 @@ from degenpoly.series import (
     deg_exp,
     deg_log,
     mul_inverse,
+    powers,
     scaled_power,
 )
 
@@ -210,7 +210,7 @@ def order_by_order_inverse(f):
     """The solver comp_inverse used before Lagrange inversion, kept as a
     reference: the t^n coefficient of f(g) is linear in g's n-th
     coefficient, with f's linear coefficient as its factor."""
-    inv = QONE / f.coeffs[1].constant_value()
+    inv = 1 / f.coeffs[1].constant_value()
     zero = f.ring.zero()
     g = [zero, f.ring.one() * inv]
     for n in range(2, f.order + 1):
@@ -235,6 +235,16 @@ def test_comp_inverse_matches_order_by_order_solver(lead, f):
 @given(delta_series(8).map(lambda f: f + 1))
 def test_random_unit_mul_inverse(f):
     assert f * mul_inverse(f) == Series.one(LambdaPoly, 8)
+
+
+def test_powers_multiply_count_times_and_no_more(monkeypatch):
+    f = deg_log(6)
+    expected = [Series.one(LambdaPoly, 6), f, f * f, f * f * f]
+    mul = Series.__mul__
+    calls = []
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert list(powers(expected[0], f, 3)) == expected
+    assert len(calls) == 3
 
 
 def test_compositional_power_matches_repeated_compose():
