@@ -1,6 +1,6 @@
 """Byte-exact CLI goldens: every triangle, slice and family kind at order 6,
-and symbolically at order 12; plus the manifest of the facts each identity
-checks at order 8.
+and symbolically at order 12; every family symbolically at the order limit
+24; plus the manifest of the facts each identity checks at order 8.
 
 The files under ``tests/goldens/`` hold the stdout of each command below.
 They pin the rendered bytes of the engine, so a change of representation
@@ -33,6 +33,7 @@ FACTS_FILE = GOLDEN_DIR / f"facts_order{FACTS_ORDER}.json"
 
 ORDER = "6"
 LARGE_ORDER = "12"
+LIMIT_ORDER = "24"
 LAMBDAS = (None, "0", "1/2", "-1")
 TRIANGLES = ("s1", "s2", "s1deg", "s2deg", "j1deg", "j2deg", "t")
 SLICES = ("korobov", "degbernoulli")
@@ -69,6 +70,8 @@ def _cases():
         cases.append(["triangle", "--kind", kind, "--order", LARGE_ORDER, "--r", "2"])
     for family in FAMILIES:
         cases.append(["poly", "--family", family, "--order", LARGE_ORDER])
+    for family in FAMILIES:
+        cases.append(["poly", "--family", family, "--order", LIMIT_ORDER])
     cases.append(["eval", "--expr", "degbernoulli(6,2)", "--format", "csv"])
     cases.append(["eval", "--expr", "gaenari(6)", "--lambda=-1/3"])
     cases.append(["verify", "--order", "8", "--format", "json"])
