@@ -5,8 +5,13 @@ generated by the doubly-iterated deformed maps.
 Each family is produced two ways -- the explicit sum over a triangle against
 the deformed falling basis, and coefficient extraction from its generating
 series -- and the two are compared term by term (RouteMismatchError on any
-disagreement).  Family polynomials are monic of exact degree n in x with a
-λ-free leading coefficient, which the builders verify.  Every kind sits in
+disagreement).  Every generating series is e_λ^x(u(t)) = (1 + λu)^(x/λ) of
+an inner delta series u, and is read coefficient by coefficient from its
+differential equation (1 + λu)·F' = x·u'·F (Miller's recurrence for powers
+of a series, Knuth, TAOCP vol. 2, §4.7; Stanley, Eur. J. Combin. 1, 1980)
+in O(N²) ring operations, with no Horner composition.  Family polynomials
+are monic of exact degree n in x with a λ-free leading coefficient, which
+the builders verify.  Every kind sits in
 the one ``FAMILIES`` table: the triangle it sums and the inner series of its
 generating function.
 """
@@ -19,7 +24,7 @@ from typing import NamedTuple
 from .algebra import XPoly, deg_falling_factorial
 from .oracles import bell_number_classical
 from .triangles import RouteMismatchError, Workspace as TriangleWorkspace, row_sums
-from .series import Series, classical_exp, compose, deg_exp
+from .series import Series, classical_exp, deg_exp
 
 
 @dataclass(frozen=True)
@@ -40,9 +45,17 @@ def _sum_route(rows, order: int):
 
 
 def _egf_route(inner: Series, order: int):
-    """polys[n] = n! [t^n] of the deformed exponential of x composed with inner."""
-    outer = deg_exp(XPoly.var(), order)
-    series = compose(outer, inner.truncate(order).lift())
+    """polys[n] = n! [t^n] e_λ^x(inner(t)), read from the differential
+    equation of e_λ^x (see ``deg_exp``), which uses only inner's coefficients.
+
+    This route reads no power of inner, so it stays independent of the sum
+    route, whose triangle is built from powers of inner itself (through
+    ``egf_triangle_rows``) for degbell, jindalrae and gaenari.  Expanding
+    e_λ^x(inner) as the sum over k of (x)_{k,λ} inner^k / k! would not be a
+    second route: for those kinds that is
+    ``row_sums(egf_triangle_rows(inner), fall)``, the sum route itself.
+    """
+    series = deg_exp(XPoly.var(), order, inner)
     return [series.egf_coeff(n) for n in range(order + 1)]
 
 

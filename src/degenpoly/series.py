@@ -12,8 +12,16 @@ composition pipelines naturally lose order and callers pin orders explicitly.
 
 The two structural constructors:
 
-* ``deg_exp(w, N)``: sum of w(w-λ)(w-2λ)...(w-(n-1)λ) t^n/n!, the deformed
-  exponential; reduces to exp(w t) at λ = 0.
+* ``deg_exp(w, N, u=t)``: e_λ^w(u(t)) = (1 + λu)^(w/λ), the deformed
+  exponential of a delta series u; for u = t it is the sum of
+  w(w-λ)(w-2λ)...(w-(n-1)λ) t^n/n!, which reduces to exp(w t) at λ = 0.
+  F = e_λ^w(u) solves (1 + λu)·F' = w·u'·F, and reading that equation
+  coefficient by coefficient gives every coefficient in O(n) ring
+  operations from the ones before it: J. C. P. Miller's recurrence for a
+  power of a series (Knuth, TAOCP vol. 2, §4.7), applied to a series that
+  satisfies a linear differential equation (Stanley, "Differentiably finite
+  power series", Eur. J. Combin. 1, 1980).  That is O(N²) ring operations,
+  where a Horner ``compose`` with the outer series takes N series multiplies.
 * ``deg_log(N)``: the deformed logarithm of 1+t, built directly from its
   closed-form coefficients (λ-1)(λ-2)...(λ-n+1)/n!.  The 1/λ prefactor of the
   defining formula cancels symbolically; division by the indeterminate λ is
@@ -159,18 +167,9 @@ class Series:
         if not isinstance(other, Series):
             return self.scale(other)
         n = self._common(other)
-        a, b = self.coeffs, other.coeffs
         zero = self.ring.zero()
-        out = []
-        for k in range(n + 1):
-            acc = zero
-            for j in range(k + 1):
-                aj = a[j]
-                bj = b[k - j]
-                if aj and bj:
-                    acc = acc + aj * bj
-            out.append(acc)
-        return Series(self.ring, out)
+        return Series(self.ring, [_dot(self.coeffs, other.coeffs, k, zero)
+                                  for k in range(n + 1)])
 
     __rmul__ = __mul__
 
@@ -180,11 +179,15 @@ class Series:
         return f"Series[{self.ring.__name__}](order={self.order}; {inner}{tail})"
 
 
-def deg_exp(exponent, order: int) -> Series:
-    """Deformed exponential: sum of (w)_{n,λ} t^n/n! for exponent w.
+def deg_exp(exponent, order: int, inner: Series | None = None) -> Series:
+    """Deformed exponential e_λ^w(u(t)) = (1 + λu)^(w/λ) of a delta series u
+    (u = t when inner is None): sum of (w)_{k,λ} u^k/k! for exponent w.
 
-    A scalar exponent produces a λ-coefficient series; the x polynomial (or
-    any XPoly) produces an x-coefficient series.
+    Read coefficient by coefficient from (1 + λu)·F' = w·u'·F, with f_0 = 1:
+    n·f_n = w·[t^(n-1)] u'F - [t^(n-1)] λu·F'.  For u = t this is the
+    falling product f_n = f_(n-1)·(w - (n-1)λ)/n.  A scalar exponent produces
+    a λ-coefficient series; the x polynomial (or any XPoly) produces an
+    x-coefficient series.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -194,14 +197,39 @@ def deg_exp(exponent, order: int) -> Series:
         exponent = XPoly.const(exponent)
     elif not isinstance(exponent, XPoly):
         raise TypeError(f"exponent must be a scalar or XPoly, got {type(exponent).__name__}")
-    prod = type(exponent).one()
-    coeffs = [prod]
-    fact = 1
+    if inner is None:
+        inner = Series.identity(LambdaPoly, order)
+    _check_delta(inner)
+    if inner.order < order:
+        raise ValueError(
+            f"inner series truncated below the requested order {order} "
+            f"(order {inner.order})"
+        )
+    ring = type(exponent)
+    zero = ring.zero()
+    u = inner.coeffs
+    du = [u[j + 1] * (j + 1) for j in range(order)]                # u'
+    lam_u = [u[j + 1] * LambdaPoly.var() for j in range(order - 1)]  # λu/t
+    coeffs = [ring.one()]
+    dcoeffs = []                                                   # F'
     for n in range(1, order + 1):
-        prod = prod * (exponent + LambdaPoly((0, 1 - n)))
-        fact *= n
-        coeffs.append(prod * (QONE / fact))
-    return Series(type(exponent), coeffs)
+        deriv = (_dot(coeffs, du, n - 1, zero) * exponent
+                 - _dot(dcoeffs, lam_u, n - 2, zero))
+        dcoeffs.append(deriv)
+        coeffs.append(deriv * (QONE / n))
+    return Series(ring, coeffs)
+
+
+def _dot(a, b, m, zero):
+    """[t^m] of the product of the coefficient lists a and b, skipping zero
+    terms: the one convolution loop of the series engine."""
+    acc = zero
+    for j in range(m + 1):
+        aj = a[j]
+        bj = b[m - j]
+        if aj and bj:
+            acc = acc + aj * bj
+    return acc
 
 
 def deg_log(order: int) -> Series:
@@ -235,16 +263,20 @@ def compose(outer: Series, inner: Series) -> Series:
     constant term would make the truncated composition ill-defined.
     """
     n = outer._common(inner)
-    if inner.coeffs[0]:
-        raise ValueError(
-            f"inner series has nonzero constant term {inner.coeffs[0]}; "
-            "only delta series can be substituted"
-        )
+    _check_delta(inner)
     inner = inner.truncate(n)
     result = Series(inner.ring, [outer.coeffs[n]] + [inner.ring.zero()] * n)
     for i in range(n - 1, -1, -1):
         result = result * inner + outer.coeffs[i]
     return result
+
+
+def _check_delta(inner: Series) -> None:
+    if inner.coeffs[0]:
+        raise ValueError(
+            f"inner series has nonzero constant term {inner.coeffs[0]}; "
+            "only delta series can be substituted"
+        )
 
 
 def comp_inverse(f: Series) -> Series:
@@ -280,15 +312,10 @@ def mul_inverse(f: Series) -> Series:
         )
     inv = scalar_inv(head)
     ring = f.ring
+    tail = f.coeffs[1:]
     out = [ring.one() * inv]
     for n in range(1, f.order + 1):
-        acc = ring.zero()
-        for j in range(1, n + 1):
-            fj = f.coeffs[j]
-            gn = out[n - j]
-            if fj and gn:
-                acc = acc + fj * gn
-        out.append(-acc * inv)
+        out.append(-_dot(tail, out, n - 1, ring.zero()) * inv)
     return Series(ring, out)
 
 

@@ -276,6 +276,13 @@ _DELTAS = {
     "log": lambda order: deg_log(order),         # log_λ(1 + t)
 }
 
+# Each delta series composed with itself: e_λ(u) - 1 from the differential
+# equation of e_λ, log_λ(1 + u) by Horner.
+_DOUBLED = {
+    "exp": lambda ws: deg_exp(1, ws.order, ws.delta("exp")) - 1,
+    "log": lambda ws: compose(ws.delta("log"), ws.delta("log")),
+}
+
 
 class Workspace:
     """Memoised artifacts at one order: each kind's two routes are built once,
@@ -296,8 +303,7 @@ class Workspace:
 
     def doubled(self, name: str) -> Series:
         """A delta series composed with itself."""
-        return self._get(("doubled", name),
-                         lambda: compose(self.delta(name), self.delta(name)))
+        return self._get(("doubled", name), lambda: _DOUBLED[name](self))
 
     def routes(self, kind: str):
         """Both routes of a triangle kind, as (rows_a, rows_b)."""

@@ -171,14 +171,13 @@ def umbral_power(r: ShefferSeq, m: int) -> ShefferSeq:
         matrix = convolution_rows(matrix, r.matrix)
     one = Series.one(LambdaPoly, r.order)
     if r.g == one:
-        new_g = one
+        new_g, new_f = one, compositional_power(r.f, m)
     else:
-        new_g = r.g
-        ell_i = None
+        # g(ℓ^1)..g(ℓ^(m-1)) read the chain ℓ^i = ℓ^(i-1)∘ℓ, which ends at ℓ^m.
+        new_g, new_f = r.g, r.f
         for _ in range(1, m):
-            ell_i = r.f if ell_i is None else compose(ell_i, r.f)
-            new_g = new_g * compose(r.g, ell_i)
-    new_f = compositional_power(r.f, m)
+            new_g = new_g * compose(r.g, new_f)
+            new_f = compose(new_f, r.f)
     return ShefferSeq(new_g, new_f, r.order, tuple(tuple(row) for row in matrix))
 
 

@@ -184,10 +184,13 @@ class TestSeriesBasics:
         assert (deg_log(7) * deg_log(4)).order == 4
 
 
+small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+small_lambda_poly = st.lists(small_rational, min_size=0, max_size=3).map(
+    LambdaPoly.from_coeffs)
+
+
 def delta_series(order):
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    small_poly = st.lists(coeff, min_size=0, max_size=3).map(LambdaPoly.from_coeffs)
-    return st.lists(small_poly, min_size=order - 1, max_size=order - 1).map(
+    return st.lists(small_lambda_poly, min_size=order - 1, max_size=order - 1).map(
         lambda tail: Series(LambdaPoly, [LambdaPoly.zero(), LambdaPoly.one()] + tail)
     )
 
@@ -220,7 +223,7 @@ def order_by_order_inverse(f):
 
 
 # nonzero linear coefficients, so t/f has a non-unit constant term
-linear_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(
+linear_coeff = small_rational.filter(
     lambda q: abs(q) >= Q(1, 3))
 
 
@@ -235,6 +238,54 @@ def test_comp_inverse_matches_order_by_order_solver(lead, f):
 @given(delta_series(8).map(lambda f: f + 1))
 def test_random_unit_mul_inverse(f):
     assert f * mul_inverse(f) == Series.one(LambdaPoly, 8)
+
+
+def horner_deg_exp(exponent, order, inner):
+    """The deformed exponential of inner by Horner composition, the route the
+    family generating series took before the differential equation, kept as
+    a reference: over XPoly for a polynomial exponent, over LambdaPoly for a
+    scalar one."""
+    outer = deg_exp(exponent, order)
+    return compose(outer, inner if outer.ring is LambdaPoly else inner.lift())
+
+
+@st.composite
+def inner_series(draw):
+    """Delta series of order 1..10 whose linear coefficient may be zero, a
+    non-unit rational or λ-dependent, with λ-polynomial higher coefficients."""
+    order = draw(st.integers(min_value=1, max_value=10))
+    linear = draw(st.one_of(
+        st.just(LambdaPoly.zero()), small_rational.map(LambdaPoly.const), small_lambda_poly))
+    tail = draw(st.lists(small_lambda_poly, min_size=order - 1, max_size=order - 1))
+    return Series(LambdaPoly, [LambdaPoly.zero(), linear] + tail)
+
+
+exponents = st.one_of(st.just(XPoly.var()), small_rational.filter(bool), small_lambda_poly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponents, inner_series())
+def test_deg_exp_of_inner_matches_horner_compose(exponent, inner):
+    assert deg_exp(exponent, inner.order, inner) == horner_deg_exp(
+        exponent, inner.order, inner)
+
+
+def test_deg_exp_of_inner_reads_only_the_requested_order():
+    assert deg_exp(XPoly.var(), 6, deg_log(9)) == deg_exp(XPoly.var(), 6, deg_log(6))
+
+
+def test_deg_exp_rejects_nonzero_constant_term_like_compose():
+    not_delta = deg_exp(1, 4)
+    with pytest.raises(ValueError, match="constant term") as recurrence:
+        deg_exp(XPoly.var(), 4, not_delta)
+    with pytest.raises(ValueError) as horner:
+        compose(deg_exp(1, 4), not_delta)
+    assert str(recurrence.value) == str(horner.value)
+
+
+def test_deg_exp_rejects_inner_truncated_below_order():
+    with pytest.raises(ValueError, match="truncated below"):
+        deg_exp(1, 6, deg_log(4))
 
 
 def test_powers_multiply_count_times_and_no_more(monkeypatch):
