@@ -212,6 +212,8 @@ def cmd_verify(args) -> int:
         raise UsageError("verification order must be >= 1")
     _check_order(args.order)
     lambda_list = tuple(args.lambda_list) if args.lambda_list else ()
+    if args.filter == []:
+        raise UsageError("--filter names no identity id")
     identity_filter = tuple(args.filter) if args.filter else None
     try:
         config = SuiteConfig(

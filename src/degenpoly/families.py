@@ -19,12 +19,13 @@ generating function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import NamedTuple
 
 from .algebra import XPoly, deg_falling_factorial
 from .oracles import bell_number_classical
 from .triangles import RouteMismatchError, Workspace as TriangleWorkspace, row_sums
-from .series import Series, classical_exp, deg_exp
+from .series import Series, classical_exp, deg_exp_coeffs
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ def _sum_route(rows, order: int):
 
 def _egf_route(inner: Series, order: int):
     """polys[n] = n! [t^n] e_λ^x(inner(t)), read from the differential
-    equation of e_λ^x (see ``deg_exp``), which uses only inner's coefficients.
+    equation of e_λ^x (``deg_exp_coeffs`` with the exponent x), which uses
+    only inner's coefficients.
 
     This route reads no power of inner, so it stays independent of the sum
     route, whose triangle is built from powers of inner itself (through
@@ -55,8 +57,8 @@ def _egf_route(inner: Series, order: int):
     second route: for those kinds that is
     ``row_sums(egf_triangle_rows(inner), fall)``, the sum route itself.
     """
-    series = deg_exp(XPoly.var(), order, inner)
-    return [series.egf_coeff(n) for n in range(order + 1)]
+    coeffs = deg_exp_coeffs(XPoly.var(), order, inner)
+    return [c * factorial(n) for n, c in enumerate(coeffs)]
 
 
 def _validated(kind: str, order: int, sum_polys, egf_polys) -> PolyFamily:

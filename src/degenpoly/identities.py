@@ -108,7 +108,7 @@ class _Identity:
 def _appell_sequence(order: int):
     base = deg_exp(1, order + 1) - 1
     g = mul_inverse(base.shift_down())
-    return _umbral.sheffer_from_pair(g, Series.identity(LambdaPoly, order), order)
+    return _umbral.sheffer_from_pair(g, Series.identity(order), order)
 
 
 # Sheffer sequences by name: order -> ShefferSeq
@@ -419,7 +419,7 @@ def _check_cor15(ws, order):
     for name, target in targets.items():
         composed, lhs, rhs = _umbral.corollary15_sides(ws.seq(name, order), fall, 2, order)
         for n in range(order + 1):
-            yield f"{name} substitution (n={n})", lhs.coeffs[n], rhs.coeffs[n]
+            yield f"{name} substitution (n={n})", lhs[n], rhs[n]
             yield f"{name} generating coefficient (n={n})", composed.poly(n), target[n]
 
 

@@ -1,20 +1,23 @@
 """Truncated exponential-generating-function engine in the variable t.
 
-A ``Series`` holds raw coefficients c_0..c_N of t^n over a coefficient ring
-(LambdaPoly or XPoly, the class object doubling as the ring tag); the series
-is known modulo t^(N+1).  Statements about number families are in EGF form,
-so ``egf_coeff(n) = n! * c_n`` is the accessor used at every table-facing
-boundary; raw coefficients keep composition and inversion simple.
+A ``Series`` holds raw coefficients c_0..c_N of t^n over LambdaPoly; the
+series is known modulo t^(N+1).  Statements about number families are in EGF
+form, so ``egf_coeff(n) = n! * c_n`` is the accessor used at every
+table-facing boundary; raw coefficients keep composition and inversion simple.
 
-Binary operations require equal coefficient rings (use ``lift`` to move a
-λ-series into the x-ring) and truncate to the minimum operand order, since
-composition pipelines naturally lose order and callers pin orders explicitly.
+Every generating series in t has λ-polynomial coefficients; polynomials in x
+are only the values a series generates.  The family route reads them from
+``deg_exp_coeffs`` with the exponent x, and Corollary 15 one power of x at a
+time (``umbral.corollary15_sides``).  Binary operations truncate to the
+minimum operand order, since composition pipelines naturally lose order and
+callers pin orders explicitly.
 
 The two structural constructors:
 
 * ``deg_exp(w, N, u=t)``: e_λ^w(u(t)) = (1 + λu)^(w/λ), the deformed
-  exponential of a delta series u; for u = t it is the sum of
-  w(w-λ)(w-2λ)...(w-(n-1)λ) t^n/n!, which reduces to exp(w t) at λ = 0.
+  exponential of a delta series u (``deg_exp_coeffs`` for an exponent in
+  any ring); for u = t it is the sum of w(w-λ)(w-2λ)...(w-(n-1)λ) t^n/n!,
+  which reduces to exp(w t) at λ = 0.
   F = e_λ^w(u) solves (1 + λu)·F' = w·u'·F, and reading that equation
   coefficient by coefficient gives every coefficient in O(n) ring
   operations from the ones before it: J. C. P. Miller's recurrence for a
@@ -38,48 +41,43 @@ from __future__ import annotations
 
 from math import factorial
 
-from .algebra import LambdaPoly, XPoly, lambda_shifted_falling
+from .algebra import LambdaPoly, lambda_shifted_falling
 from .scalars import QONE, is_scalar, scalar_inv
 
 
 class Series:
-    """Truncated power series over LambdaPoly or XPoly coefficients."""
+    """Truncated power series over LambdaPoly coefficients."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, ring, coeffs):
-        if ring not in (LambdaPoly, XPoly):
-            raise TypeError(f"unsupported coefficient ring {ring!r}")
-        self.ring = ring
-        self.coeffs = tuple(self._coerce(ring, c) for c in coeffs)
+    def __init__(self, coeffs):
+        self.coeffs = tuple(self._coerce(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least its constant coefficient")
 
     @staticmethod
-    def _coerce(ring, value):
-        if isinstance(value, ring):
+    def _coerce(value):
+        if isinstance(value, LambdaPoly):
             return value
-        if ring is XPoly and (isinstance(value, LambdaPoly) or is_scalar(value)):
-            return XPoly.const(value)
-        if ring is LambdaPoly and is_scalar(value):
+        if is_scalar(value):
             return LambdaPoly.const(value)
-        raise TypeError(f"coefficient {value!r} does not live in {ring.__name__}")
+        raise TypeError(f"coefficient {value!r} is not a λ-polynomial")
 
     @classmethod
-    def zero(cls, ring, order: int) -> "Series":
-        return cls(ring, [ring.zero()] * (order + 1))
+    def zero(cls, order: int) -> "Series":
+        return cls([LambdaPoly.zero()] * (order + 1))
 
     @classmethod
-    def one(cls, ring, order: int) -> "Series":
-        return cls(ring, [ring.one()] + [ring.zero()] * order)
+    def one(cls, order: int) -> "Series":
+        return cls([LambdaPoly.one()] + [LambdaPoly.zero()] * order)
 
     @classmethod
-    def identity(cls, ring, order: int) -> "Series":
+    def identity(cls, order: int) -> "Series":
         """The series t (the delta series fixed by composition)."""
-        coeffs = [ring.zero()] * (order + 1)
+        coeffs = [LambdaPoly.zero()] * (order + 1)
         if order >= 1:
-            coeffs[1] = ring.one()
-        return cls(ring, coeffs)
+            coeffs[1] = LambdaPoly.one()
+        return cls(coeffs)
 
     @property
     def order(self) -> int:
@@ -97,17 +95,11 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} series to {order}")
-        return Series(self.ring, self.coeffs[: order + 1])
-
-    def lift(self) -> "Series":
-        """Embed a λ-coefficient series into the x-coefficient ring."""
-        if self.ring is XPoly:
-            return self
-        return Series(XPoly, [XPoly.const(c) for c in self.coeffs])
+        return Series(self.coeffs[: order + 1])
 
     def scale(self, value) -> "Series":
-        """Multiply every coefficient by a scalar or ring element."""
-        return Series(self.ring, [c * value for c in self.coeffs])
+        """Multiply every coefficient by a scalar or λ-polynomial."""
+        return Series([c * value for c in self.coeffs])
 
     def shift_down(self) -> "Series":
         """Divide by t (requires a zero constant term; loses one order)."""
@@ -117,39 +109,32 @@ class Series:
             )
         if self.order == 0:
             raise ValueError("cannot shift a constant-only series")
-        return Series(self.ring, self.coeffs[1:])
+        return Series(self.coeffs[1:])
 
     def _common(self, other: "Series") -> int:
         if not isinstance(other, Series):
             raise TypeError(f"expected a Series, got {type(other).__name__}")
-        if self.ring is not other.ring:
-            raise ValueError(
-                f"coefficient rings differ: {self.ring.__name__} vs {other.ring.__name__}"
-            )
         return min(self.order, other.order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.ring is other.ring and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.coeffs))
+        return hash(self.coeffs)
 
     def __neg__(self) -> "Series":
-        return Series(self.ring, [-c for c in self.coeffs])
+        return Series([-c for c in self.coeffs])
 
     def __add__(self, other):
         if isinstance(other, Series):
             n = self._common(other)
-            return Series(
-                self.ring,
-                [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)],
-            )
-        # scalar / ring-element addition touches only the constant term
+            return Series([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+        # scalar / λ-polynomial addition touches only the constant term
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] + other
-        return Series(self.ring, coeffs)
+        return Series(coeffs)
 
     __radd__ = __add__
 
@@ -158,7 +143,7 @@ class Series:
             return self + (-other)
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] - other
-        return Series(self.ring, coeffs)
+        return Series(coeffs)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -167,38 +152,44 @@ class Series:
         if not isinstance(other, Series):
             return self.scale(other)
         n = self._common(other)
-        zero = self.ring.zero()
-        return Series(self.ring, [_dot(self.coeffs, other.coeffs, k, zero)
-                                  for k in range(n + 1)])
+        zero = LambdaPoly.zero()
+        return Series([_dot(self.coeffs, other.coeffs, k, zero) for k in range(n + 1)])
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self.coeffs[:5])
         tail = ", ..." if self.order >= 5 else ""
-        return f"Series[{self.ring.__name__}](order={self.order}; {inner}{tail})"
+        return f"Series(order={self.order}; {inner}{tail})"
 
 
 def deg_exp(exponent, order: int, inner: Series | None = None) -> Series:
     """Deformed exponential e_λ^w(u(t)) = (1 + λu)^(w/λ) of a delta series u
-    (u = t when inner is None): sum of (w)_{k,λ} u^k/k! for exponent w.
-
-    Read coefficient by coefficient from (1 + λu)·F' = w·u'·F, with f_0 = 1:
-    n·f_n = w·[t^(n-1)] u'F - [t^(n-1)] λu·F'.  For u = t this is the
-    falling product f_n = f_(n-1)·(w - (n-1)λ)/n.  A scalar exponent produces
-    a λ-coefficient series; the x polynomial (or any XPoly) produces an
-    x-coefficient series.
-    """
+    (u = t when inner is None) for a scalar or λ-polynomial exponent w: sum
+    of (w)_{k,λ} u^k/k!, from the recurrence ``deg_exp_coeffs``."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     if is_scalar(exponent):
         exponent = LambdaPoly.const(exponent)
-    elif isinstance(exponent, LambdaPoly):
-        exponent = XPoly.const(exponent)
-    elif not isinstance(exponent, XPoly):
-        raise TypeError(f"exponent must be a scalar or XPoly, got {type(exponent).__name__}")
+    elif not isinstance(exponent, LambdaPoly):
+        raise TypeError(
+            f"exponent must be a scalar or λ-polynomial, got {type(exponent).__name__}"
+        )
     if inner is None:
-        inner = Series.identity(LambdaPoly, order)
+        inner = Series.identity(order)
+    return Series(deg_exp_coeffs(exponent, order, inner))
+
+
+def deg_exp_coeffs(exponent, order: int, inner: Series) -> list:
+    """Coefficients f_0..f_order of e_λ^w(u(t)) for a delta series u and an
+    exponent w in any ring whose elements multiply λ-polynomials and whose
+    class has ``zero()`` and ``one()``: a λ-polynomial for ``deg_exp``, the
+    polynomial x for the family generating series.
+
+    Read coefficient by coefficient from (1 + λu)·F' = w·u'·F, with f_0 = 1:
+    n·f_n = w·[t^(n-1)] u'F - [t^(n-1)] λu·F'.  For u = t this is the
+    falling product f_n = f_(n-1)·(w - (n-1)λ)/n.
+    """
     _check_delta(inner)
     if inner.order < order:
         raise ValueError(
@@ -217,7 +208,7 @@ def deg_exp(exponent, order: int, inner: Series | None = None) -> Series:
                  - _dot(dcoeffs, lam_u, n - 2, zero))
         dcoeffs.append(deriv)
         coeffs.append(deriv * (QONE / n))
-    return Series(ring, coeffs)
+    return coeffs
 
 
 def _dot(a, b, m, zero):
@@ -241,7 +232,7 @@ def deg_log(order: int) -> Series:
     for n in range(1, order + 1):
         fact *= n
         coeffs.append(lambda_shifted_falling(n) * (QONE / fact))
-    return Series(LambdaPoly, coeffs)
+    return Series(coeffs)
 
 
 def classical_exp(order: int) -> Series:
@@ -253,7 +244,7 @@ def classical_exp(order: int) -> Series:
     for n in range(1, order + 1):
         fact *= n
         coeffs.append(LambdaPoly((QONE / fact,)))
-    return Series(LambdaPoly, coeffs)
+    return Series(coeffs)
 
 
 def compose(outer: Series, inner: Series) -> Series:
@@ -265,7 +256,7 @@ def compose(outer: Series, inner: Series) -> Series:
     n = outer._common(inner)
     _check_delta(inner)
     inner = inner.truncate(n)
-    result = Series(inner.ring, [outer.coeffs[n]] + [inner.ring.zero()] * n)
+    result = Series([outer.coeffs[n]] + [LambdaPoly.zero()] * n)
     for i in range(n - 1, -1, -1):
         result = result * inner + outer.coeffs[i]
     return result
@@ -297,7 +288,7 @@ def comp_inverse(f: Series) -> Series:
             f"linear coefficient {f.coeffs[1]} is not an invertible rational constant"
         )
     phi = mul_inverse(f.shift_down())
-    return Series(f.ring, [f.ring.zero()] + [
+    return Series([LambdaPoly.zero()] + [
         power.coeffs[n - 1] * (QONE / n)
         for n, power in enumerate(powers(phi, phi, f.order - 1), 1)
     ])
@@ -311,12 +302,11 @@ def mul_inverse(f: Series) -> Series:
             f"constant term {f.coeffs[0]} is not an invertible rational constant"
         )
     inv = scalar_inv(head)
-    ring = f.ring
     tail = f.coeffs[1:]
-    out = [ring.one() * inv]
+    out = [LambdaPoly.one() * inv]
     for n in range(1, f.order + 1):
-        out.append(-_dot(tail, out, n - 1, ring.zero()) * inv)
-    return Series(ring, out)
+        out.append(-_dot(tail, out, n - 1, LambdaPoly.zero()) * inv)
+    return Series(out)
 
 
 def scaled_power(f: Series, k: int) -> Series:
@@ -324,7 +314,7 @@ def scaled_power(f: Series, k: int) -> Series:
     if k < 0:
         raise ValueError("power must be nonnegative")
     if k == 0:
-        return Series.one(f.ring, f.order)
+        return Series.one(f.order)
     *_, power = powers(f, f, k - 1)
     return power.scale(QONE / factorial(k))
 
@@ -348,13 +338,7 @@ def compositional_power(f: Series, m: int) -> Series:
     return result
 
 
-def unit_scalar(coeff):
-    """The scalar value of a nonzero constant ring element, else None."""
-    if isinstance(coeff, XPoly):
-        coeff = coeff.constant_value()
-        if coeff is None:
-            return None
-    if isinstance(coeff, LambdaPoly):
-        value = coeff.constant_value()
-        return value if value else None
-    return coeff if coeff else None
+def unit_scalar(coeff: LambdaPoly):
+    """The scalar value of a nonzero λ-free coefficient, else None."""
+    value = coeff.constant_value()
+    return value if value else None

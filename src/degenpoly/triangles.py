@@ -95,7 +95,7 @@ def egf_triangle_rows(f: Series, order: int, prefactor: Series | None = None):
     if f.coeffs[0]:
         raise ValueError("EGF extraction needs a delta series")
     facts = [factorial(n) for n in range(order + 1)]
-    start = Series.one(LambdaPoly, order) if prefactor is None else prefactor
+    start = Series.one(order) if prefactor is None else prefactor
     rows = [[] for _ in range(order + 1)]
     for k, power in enumerate(powers(start, f, order)):
         for n in range(k, order + 1):
@@ -367,7 +367,7 @@ def _power_slices(base: Series, order: int, max_r: int):
         raise ValueError("slice order r must be >= 1")
     facts = [factorial(n) for n in range(order + 1)]
     return [tuple(power.coeffs[n] * facts[n] for n in range(order + 1))
-            for power in powers(Series.one(LambdaPoly, order), base, max_r)]
+            for power in powers(Series.one(order), base, max_r)]
 
 
 def korobov_table(order: int, max_r: int):

@@ -64,22 +64,13 @@ class ShefferSeq:
     def polys(self):
         return tuple(XPoly(row) for row in self.matrix)
 
-    def egf(self) -> Series:
-        """The generating series: raw coefficient n is s_n(x)/n!."""
-        return Series(
-            XPoly,
-            [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(self.matrix)],
-        )
-
     def is_associated(self) -> bool:
-        return self.g == Series.one(LambdaPoly, self.g.order)
+        return self.g == Series.one(self.g.order)
 
 
 def sheffer_from_pair(g: Series, f: Series, order: int) -> ShefferSeq:
     """Build the sequence for an invertible/delta pair via its generating
     identity: matrix[n][k] = n!/k! [t^n] (1/g(fbar)) fbar^k."""
-    if g.ring is not LambdaPoly or f.ring is not LambdaPoly:
-        raise ValueError("pair series must have λ-polynomial coefficients")
     if order < 1:
         raise ValueError("sequence order must be >= 1 (the delta series needs a linear term)")
     if g.order < order or f.order < order:
@@ -97,7 +88,7 @@ def sheffer_from_pair(g: Series, f: Series, order: int) -> ShefferSeq:
     g = g.truncate(order)
     f = f.truncate(order)
     fbar = comp_inverse(f)
-    prefactor = None if g == Series.one(LambdaPoly, order) else mul_inverse(compose(g, fbar))
+    prefactor = None if g == Series.one(order) else mul_inverse(compose(g, fbar))
     rows = egf_triangle_rows(fbar, order, prefactor)
     for n in range(order + 1):
         if not rows[n][n]:
@@ -107,23 +98,19 @@ def sheffer_from_pair(g: Series, f: Series, order: int) -> ShefferSeq:
 
 def identity_sheffer(order: int) -> ShefferSeq:
     """The group identity: s_n(x) = x^n, pair (1, t)."""
-    return sheffer_from_pair(
-        Series.one(LambdaPoly, order), Series.identity(LambdaPoly, order), order
-    )
+    return sheffer_from_pair(Series.one(order), Series.identity(order), order)
 
 
 def stirling2_sequence(order: int) -> ShefferSeq:
     """Associated sequence of the deformed logarithm; its matrix is the
     degenerate second-kind triangle."""
-    return sheffer_from_pair(Series.one(LambdaPoly, order), deg_log(order), order)
+    return sheffer_from_pair(Series.one(order), deg_log(order), order)
 
 
 def stirling1_sequence(order: int) -> ShefferSeq:
     """Associated sequence of the deformed exponential minus one; its matrix
     is the degenerate first-kind triangle."""
-    return sheffer_from_pair(
-        Series.one(LambdaPoly, order), deg_exp(1, order) - 1, order
-    )
+    return sheffer_from_pair(Series.one(order), deg_exp(1, order) - 1, order)
 
 
 def falling_factorial_sequence(order: int) -> ShefferSeq:
@@ -136,9 +123,7 @@ def falling_factorial_sequence(order: int) -> ShefferSeq:
     for n in range(1, order + 1):
         fact *= n
         coeffs.append(LambdaPoly([0] * (n - 1) + [QONE / fact]))
-    seq = sheffer_from_pair(
-        Series.one(LambdaPoly, order), Series(LambdaPoly, coeffs), order
-    )
+    seq = sheffer_from_pair(Series.one(order), Series(coeffs), order)
     for n in range(order + 1):
         if seq.poly(n) != deg_falling_factorial(n):
             raise RouteMismatchError(
@@ -169,7 +154,7 @@ def umbral_power(r: ShefferSeq, m: int) -> ShefferSeq:
     matrix = r.matrix
     for _ in range(m - 1):
         matrix = convolution_rows(matrix, r.matrix)
-    one = Series.one(LambdaPoly, r.order)
+    one = Series.one(r.order)
     if r.g == one:
         new_g, new_f = one, compositional_power(r.f, m)
     else:
@@ -261,17 +246,28 @@ def squared_composed_polys(r: ShefferSeq, fall: ShefferSeq) -> tuple:
 def corollary15_sides(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
     """The two series Corollary 15 equates, truncated at order (or at the
     sequences' order, if lower): the generating series of r^m∘s, and s's
-    generating series with the m-fold compositional power of the inverse of
-    r's delta series substituted.  Returns (r^m∘s, lhs, rhs)."""
+    generating series with the m-fold compositional power ℓbar of the inverse
+    of r's delta series substituted.  Returns (r^m∘s, lhs, rhs), the sides as
+    their coefficients of t^0..t^order, each a polynomial in x.
+
+    The right-hand side is read column by column: [x^k] of it is the
+    λ-series Σₙ s[n][k]/n!·ℓbarⁿ, one ``compose`` per column."""
     if not r.is_associated():
         raise ValueError("r must be an associated sequence (unit invertible part)")
     if m < 1:
         raise ValueError("m must be >= 1")
     order = min(order, r.order, s.order)
     composed = umbral_compose(umbral_power(r, m), s)
-    lhs = composed.egf().truncate(order)
+    lhs = [XPoly(row) * (QONE / factorial(n))
+           for n, row in enumerate(composed.matrix[:order + 1])]
     ell_bar = compositional_power(comp_inverse(r.f.truncate(order)), m)
-    rhs = compose(s.egf().truncate(order), ell_bar.lift())
+    zero = LambdaPoly.zero()
+    columns = [
+        compose(Series([row[k] * (QONE / factorial(n)) if k <= n else zero
+                        for n, row in enumerate(s.matrix[:order + 1])]), ell_bar)
+        for k in range(order + 1)
+    ]
+    rhs = [XPoly([column.coeffs[n] for column in columns]) for n in range(order + 1)]
     return composed, lhs, rhs
 
 

@@ -27,7 +27,6 @@ from degenpoly.series import (
     deg_exp,
     deg_log,
 )
-from degenpoly.algebra import LambdaPoly
 
 SUITE_ORDER = 12
 
@@ -89,7 +88,7 @@ def test_criterion_2_classical_degeneration(suite):
 
 def test_criterion_3_compositional_inversion():
     n = 16
-    t = Series.identity(LambdaPoly, n)
+    t = Series.identity(n)
     em1 = deg_exp(1, n) - 1
     lg = deg_log(n)
     double = compose(em1, em1)

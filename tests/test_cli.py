@@ -166,6 +166,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown identity" in err
 
+    @pytest.mark.parametrize("empty", [",", " , ,"])
+    def test_filter_naming_no_identity_exits_two(self, capsys, empty):
+        code, out, err = run_cli(capsys, "verify", "--order", "2", "--filter", empty)
+        assert code == 2
+        assert out == ""
+        assert "--filter" in err
+
     def test_include_stretch(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--order", "3", "--include-stretch", "--format", "json"

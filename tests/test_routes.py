@@ -74,7 +74,7 @@ def test_a_wrong_family_series_names_the_kind(monkeypatch, kind):
     def inner(ws):
         coeffs = list(spec.inner(ws).coeffs)
         coeffs[3] = coeffs[3] + LambdaPoly.one()
-        return Series(LambdaPoly, coeffs)
+        return Series(coeffs)
 
     monkeypatch.setitem(FAMILIES, kind, spec._replace(inner=inner))
     with pytest.raises(RouteMismatchError, match=rf"^{kind} routes disagree at n=3:"):

@@ -1,5 +1,7 @@
 """Sheffer machinery: pair construction, the composition group, powers."""
 
+from math import factorial
+
 import pytest
 
 from degenpoly.algebra import LambdaPoly, XPoly, deg_falling_factorial
@@ -23,6 +25,7 @@ from degenpoly.triangles import (
 )
 from degenpoly.umbral import (
     corollary15_check,
+    corollary15_sides,
     falling_factorial_sequence,
     gaenari_via_umbral,
     group_inverse,
@@ -35,6 +38,8 @@ from degenpoly.umbral import (
     umbral_power,
     umbral_power_explicit_rows,
 )
+from degenpoly.scalars import QONE
+from xseries import deg_exp_x, horner
 
 N = 8
 
@@ -62,7 +67,7 @@ def fall_seq():
 @pytest.fixture(scope="module")
 def appell_seq():
     g = mul_inverse((deg_exp(1, N + 1) - 1).shift_down())
-    return sheffer_from_pair(g, Series.identity(LambdaPoly, N), N)
+    return sheffer_from_pair(g, Series.identity(N), N)
 
 
 class TestPairConstruction:
@@ -85,12 +90,12 @@ class TestPairConstruction:
             sheffer_from_pair(deg_log(N), deg_log(N), N)
 
     def test_rejects_non_delta_f(self):
-        one = Series.one(LambdaPoly, N)
+        one = Series.one(N)
         with pytest.raises(ValueError, match="delta series"):
             sheffer_from_pair(one, deg_exp(1, N), N)
 
     def test_rejects_undersized_series(self):
-        one = Series.one(LambdaPoly, 3)
+        one = Series.one(3)
         with pytest.raises(ValueError, match="truncated below"):
             sheffer_from_pair(one, deg_log(3), 5)
 
@@ -183,8 +188,20 @@ class TestCorollary15:
     def test_substituted_generating_series_is_the_family_series(self, log_seq, fall_seq):
         composed = umbral_compose(umbral_power(log_seq, 2), fall_seq)
         em1 = deg_exp(1, N) - 1
-        direct = compose(deg_exp(XPoly.var(), N), compose(em1, em1).lift())
-        assert composed.egf() == direct
+        direct = horner(deg_exp_x(N), compose(em1, em1))
+        assert [c * factorial(n) for n, c in enumerate(direct)] == list(composed.polys())
+
+    @pytest.mark.parametrize("order", [1, 5, 8])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("name", ["ident", "log_seq", "exp_seq"])
+    def test_column_rhs_matches_x_horner_rhs(self, request, fall_seq, name, m, order):
+        # the right-hand side as one x-coefficient Horner substitution of s's
+        # whole generating series, the way it was read before the columns
+        r = request.getfixturevalue(name)
+        _, _, rhs = corollary15_sides(r, fall_seq, m, order)
+        ell_bar = compositional_power(comp_inverse(r.f.truncate(order)), m)
+        s_egf = [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(fall_seq.matrix)]
+        assert rhs == horner(s_egf[:order + 1], ell_bar)
 
     def test_requires_associated_r(self, appell_seq, fall_seq):
         with pytest.raises(ValueError, match="associated"):

@@ -1,0 +1,31 @@
+"""Series with x-polynomial coefficients, for the test oracles only.
+
+The engine's ``Series`` holds λ-polynomials.  The oracles below substitute a
+λ-series into a series whose coefficients are polynomials in x, the way the
+family generating series and Corollary 15's right-hand side were computed
+before they were read from the differential equation and column by column.
+"""
+
+from math import factorial
+
+from degenpoly.algebra import XPoly, deg_falling_factorial
+from degenpoly.scalars import QONE
+
+
+def horner(outer, inner):
+    """outer(inner(t)) by Horner, for a list of XPoly coefficients outer and
+    a λ-coefficient delta series inner; the XPoly coefficients of t^0..t^N,
+    N the lower of the two orders."""
+    n = min(len(outer) - 1, inner.order)
+    u = inner.coeffs
+    result = [outer[n]] + [XPoly.zero()] * n
+    for i in range(n - 1, -1, -1):
+        result = [sum((result[j] * u[m - j] for j in range(m + 1)), XPoly.zero())
+                  for m in range(n + 1)]
+        result[0] = result[0] + outer[i]
+    return result
+
+
+def deg_exp_x(order):
+    """e_λ^x(t) = Σ (x)_{n,λ} t^n/n!, from the deformed falling factorials."""
+    return [deg_falling_factorial(n) * (QONE / factorial(n)) for n in range(order + 1)]
