@@ -26,14 +26,6 @@ from .families import (
     jindalrae,
     newtype_bell,
 )
-from .identities import (
-    CheckResult,
-    SuiteConfig,
-    UnknownIdentityError,
-    describe_identities,
-    identity_ids,
-    run_suite,
-)
 from .oracles import partition_oracle, signed_cycle_oracle
 from .series import (
     Series,
@@ -60,19 +52,47 @@ from .triangles import (
     stirling2_deg,
     t_numbers,
 )
-from .umbral import (
-    ShefferSeq,
-    corollary15_check,
-    falling_factorial_sequence,
-    gaenari_via_umbral,
-    group_inverse,
-    identity_sheffer,
-    jindalrae_via_umbral,
-    sheffer_from_pair,
-    stirling1_sequence,
-    stirling2_sequence,
-    umbral_compose,
-    umbral_power,
+
+# The identity suite and the umbral layer load on first use (PEP 562), so a
+# triangle, poly or eval request does not import them.  A name is looked up
+# on its module at each access, never cached here, so it follows a function
+# rebound on its module (as perfbench/tracing.py does).
+_LAZY = {
+    "identities": (
+        "CheckResult",
+        "SuiteConfig",
+        "UnknownIdentityError",
+        "describe_identities",
+        "identity_ids",
+        "run_suite",
+    ),
+    "umbral": (
+        "ShefferSeq",
+        "corollary15_check",
+        "falling_factorial_sequence",
+        "gaenari_via_umbral",
+        "group_inverse",
+        "identity_sheffer",
+        "jindalrae_via_umbral",
+        "sheffer_from_pair",
+        "stirling1_sequence",
+        "stirling2_sequence",
+        "umbral_compose",
+        "umbral_power",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted(
+    [name for name in dir() if not name.startswith("_")] + [*_LAZY, *_LAZY_OWNER]
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    module = name if name in _LAZY else _LAZY_OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    loaded = import_module(f".{module}", __name__)
+    return loaded if module == name else getattr(loaded, name)

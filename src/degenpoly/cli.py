@@ -35,12 +35,6 @@ import sys
 from . import __version__
 from .algebra import LambdaPoly, XPoly, specialize
 from .families import FAMILY_KINDS, build_family
-from .identities import (
-    SuiteConfig,
-    UnknownIdentityError,
-    describe_identities,
-    run_suite,
-)
 from .scalars import as_scalar, is_scalar, scalar_str
 from .triangles import SLICE_KINDS, SLICES, TRIANGLE_KINDS, build_triangle
 
@@ -193,7 +187,27 @@ def cmd_poly(args) -> int:
     return 0
 
 
+# The identity suite loads on the first verify request, not with the CLI.
+# run_suite stays a function of this module, and SuiteConfig a name of it:
+# perfbench/tracing.py rebinds cli.run_suite, and perfbench's tests call
+# cli.SuiteConfig.
+def run_suite(config):
+    from .identities import run_suite as suite
+
+    return suite(config)
+
+
+def __getattr__(name):
+    if name == "SuiteConfig":
+        from .identities import SuiteConfig
+
+        return SuiteConfig
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_verify(args) -> int:
+    from .identities import SuiteConfig, UnknownIdentityError, describe_identities
+
     if args.list:
         rows = describe_identities()
         if args.format == "json":
@@ -211,6 +225,8 @@ def cmd_verify(args) -> int:
     if args.order < 1:
         raise UsageError("verification order must be >= 1")
     _check_order(args.order)
+    if args.lambda_list == []:
+        raise UsageError("--lambda-list names no λ value")
     lambda_list = tuple(args.lambda_list) if args.lambda_list else ()
     if args.filter == []:
         raise UsageError("--filter names no identity id")

@@ -18,21 +18,29 @@ generating function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
 
 from .algebra import XPoly, deg_falling_factorial
 from .oracles import bell_number_classical
-from .triangles import RouteMismatchError, Workspace as TriangleWorkspace, row_sums
+from .triangles import (
+    FrozenValue,
+    RouteMismatchError,
+    Workspace as TriangleWorkspace,
+    row_sums,
+)
 from .series import Series, classical_exp, deg_exp_coeffs
 
 
-@dataclass(frozen=True)
-class PolyFamily:
-    kind: str
-    order: int
-    polys: tuple
+class PolyFamily(FrozenValue):
+    """Members polys[n] (x-polynomials) of a family for 0 <= n <= order."""
+
+    __slots__ = ("kind", "order", "polys")
+
+    def __init__(self, kind: str, order: int, polys: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "polys", polys)
 
     def poly(self, n: int) -> XPoly:
         if not 0 <= n <= self.order:

@@ -64,10 +64,6 @@ class Series:
         raise TypeError(f"coefficient {value!r} is not a λ-polynomial")
 
     @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls([LambdaPoly.zero()] * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "Series":
         return cls([LambdaPoly.one()] + [LambdaPoly.zero()] * order)
 

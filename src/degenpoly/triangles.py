@@ -27,7 +27,6 @@ are built once per workspace and shared with the family routes):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
 
@@ -43,13 +42,47 @@ class RouteMismatchError(RuntimeError):
     """Two supposedly-equal computation routes disagreed: an engine bug."""
 
 
-@dataclass(frozen=True)
-class Triangle:
+class FrozenValue:
+    """Base of the immutable value classes, whose fields are their
+    ``__slots__``: values of one class with equal fields are equal and hash
+    alike, and no attribute can be set or deleted once ``__init__`` ran."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Triangle(FrozenValue):
     """Lower-triangular table (n, k) -> LambdaPoly for 0 <= k <= n <= order."""
 
-    kind: str
-    order: int
-    rows: tuple
+    __slots__ = ("kind", "order", "rows")
+
+    def __init__(self, kind: str, order: int, rows: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "rows", rows)
 
     def entry(self, n: int, k: int) -> LambdaPoly:
         """Entry (n, k); zero above the diagonal (k > n), however large k is."""

@@ -173,6 +173,15 @@ class TestVerifyCommand:
         assert out == ""
         assert "--filter" in err
 
+    @pytest.mark.parametrize("empty", [",", " , ,"])
+    def test_lambda_list_naming_no_value_exits_two(self, capsys, empty):
+        code, out, err = run_cli(
+            capsys, "verify", "--order", "2", "--filter", "thm1", "--lambda-list", empty
+        )
+        assert code == 2
+        assert out == ""
+        assert "--lambda-list" in err
+
     def test_include_stretch(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--order", "3", "--include-stretch", "--format", "json"

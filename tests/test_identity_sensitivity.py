@@ -16,7 +16,9 @@ import pytest
 
 from degenpoly import identities, umbral
 from degenpoly.algebra import LambdaPoly, XPoly
+from degenpoly.families import PolyFamily
 from degenpoly.identities import SuiteConfig, identity_ids, run_suite
+from degenpoly.triangles import Triangle
 
 ORDER = 6
 N, K = 2, 1  # the entry every corruption changes
@@ -40,11 +42,11 @@ def _second(bump):
 
 
 def _triangle(tri):
-    return dataclasses.replace(tri, rows=_bumped_rows(tri.rows))
+    return Triangle(tri.kind, tri.order, _bumped_rows(tri.rows))
 
 
 def _family(family):
-    return dataclasses.replace(family, polys=_bumped_members(family.polys))
+    return PolyFamily(family.kind, family.order, _bumped_members(family.polys))
 
 
 def _sequence(seq):

@@ -1,6 +1,9 @@
 """The immutable value classes ``Triangle`` and ``PolyFamily``: positional
 construction, equality and hashing by value, and no assignment."""
 
+import copy
+import pickle
+
 import pytest
 
 from degenpoly.algebra import LambdaPoly, XPoly
@@ -50,3 +53,11 @@ def test_assignment_raises_attribute_error(cls, fields, third):
     with pytest.raises(AttributeError):
         del value.kind
     assert (value.kind, value.order, getattr(value, third)) == fields
+
+
+@pytest.mark.parametrize("cls, fields, third", VALUES)
+def test_copies_and_pickles_are_equal_values(cls, fields, third):
+    value = cls(*fields)
+    for clone in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert type(clone) is cls and clone == value
