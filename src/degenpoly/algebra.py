@@ -17,6 +17,12 @@ appear only at the edges: constructors accept them, and ``coeffs``, ``coeff``,
 trailing zero numerators trimmed, ``gcd(den, *nums) == 1``, zero stored as
 ``((), 1)`` — so equality and hashing compare the two fields directly.
 
+Every product is one call of ``lp_dot``, which sums the numerators of Σ a·b
+over one common denominator and reduces once (delayed normalisation: von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 2 and 8); a single product
+is a dot product of one pair, and an ``XPoly`` product or ``xp_dot`` takes
+one ``lp_dot`` per power of x.
+
 ``XPoly`` stores a tuple of ``LambdaPoly`` values with trailing zeros trimmed.
 Both are dense in ascending power order: degrees stay small (bounded by the
 working truncation order), which makes dense storage simpler and faster than
@@ -207,23 +213,7 @@ class LambdaPoly:
             if p == q:
                 return self
             return _reduced([c * p for c in self._n], self._d * q)
-        a, b = self._n, other._n
-        if not a or not b:
-            return _LP_ZERO
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            c = b[0]
-            out = [x * c for x in a]
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            for shift, c in enumerate(b):
-                if c:
-                    k = shift
-                    for x in a:
-                        out[k] += x * c
-                        k += 1
-        return _reduced(out, self._d * other._d)
+        return lp_dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -263,6 +253,47 @@ class LambdaPoly:
 _LP_ZERO = LambdaPoly()
 _LP_ONE = LambdaPoly((1,))
 _LP_VAR = LambdaPoly((0, 1))
+
+
+def lp_dot(pairs) -> LambdaPoly:
+    """Σ a·b over an iterable of (a, b) LambdaPoly pairs, skipping zero
+    operands: every product's numerators are scaled to the lcm of the
+    products' denominators and convolved into one int list, which is reduced
+    once.  Equal to the pairwise sum, in the same canonical form."""
+    terms = []
+    den = 1
+    width = 0
+    for a, b in pairs:
+        x, y = a._n, b._n
+        if x and y:
+            d = a._d * b._d
+            if den % d:
+                den = lcm(den, d)
+            if len(x) < len(y):
+                x, y = y, x
+            terms.append((x, y, d))
+            if len(x) + len(y) > width:
+                width = len(x) + len(y)
+    if not terms:
+        return _LP_ZERO
+    out = [0] * (width - 1)
+    for x, y, d in terms:
+        scale = den // d
+        if scale != 1:
+            y = [c * scale for c in y]
+        for shift, c in enumerate(y):
+            if c:
+                k = shift
+                for v in x:
+                    out[k] += v * c
+                    k += 1
+    return _reduced(out, den)
+
+
+def lp_conv(a, b, k: int) -> LambdaPoly:
+    """Coefficient k of the product of two λ-coefficient lists a and b:
+    Σ a_i·b_(k-i) over the i that index both, in one ``lp_dot``."""
+    return lp_dot(zip(a[max(0, k + 1 - len(b)):], reversed(b[: k + 1])))
 
 
 def _as_lambda_poly(value) -> "LambdaPoly":
@@ -375,12 +406,7 @@ class XPoly:
         a, b = self._c, other._c
         if not a or not b:
             return _XP_ZERO
-        out = [_LP_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-        return XPoly(out)
+        return XPoly([lp_conv(a, b, k) for k in range(len(a) + len(b) - 1)])
 
     __rmul__ = __mul__
 
@@ -414,6 +440,15 @@ class XPoly:
 _XP_ZERO = XPoly()
 _XP_ONE = XPoly((_LP_ONE,))
 _XP_VAR = XPoly((_LP_ZERO, _LP_ONE))
+
+
+def xp_dot(pairs) -> XPoly:
+    """Σ p·c over an iterable of (p, c) pairs of an XPoly and a LambdaPoly:
+    one ``lp_dot`` per power of x."""
+    pairs = [(p._c, c) for p, c in pairs if c]
+    width = max((len(p) for p, _ in pairs), default=0)
+    return XPoly([lp_dot([(p[i], c) for p, c in pairs if i < len(p)])
+                  for i in range(width)])
 
 
 def _poly_str(coeffs, name: str) -> str:

@@ -10,14 +10,17 @@ are only the values a series generates.  The family route reads them from
 ``deg_exp_coeffs`` with the exponent x, and Corollary 15 one power of x at a
 time (``umbral.corollary15_sides``).  Binary operations truncate to the
 minimum operand order, since composition pipelines naturally lose order and
-callers pin orders explicitly.
+callers pin orders explicitly.  Each coefficient of a product or of
+``mul_inverse`` is one dot product, a single ``algebra.lp_dot`` call; each
+step of the ``deg_exp_coeffs`` recurrence is two (``xp_dot`` for the
+exponent x).
 
 The two structural constructors:
 
 * ``deg_exp(w, N, u=t)``: e_λ^w(u(t)) = (1 + λu)^(w/λ), the deformed
-  exponential of a delta series u (``deg_exp_coeffs`` for an exponent in
-  any ring); for u = t it is the sum of w(w-λ)(w-2λ)...(w-(n-1)λ) t^n/n!,
-  which reduces to exp(w t) at λ = 0.
+  exponential of a delta series u (``deg_exp_coeffs`` for a λ- or
+  x-polynomial exponent); for u = t it is the sum of
+  w(w-λ)(w-2λ)...(w-(n-1)λ) t^n/n!, which reduces to exp(w t) at λ = 0.
   F = e_λ^w(u) solves (1 + λu)·F' = w·u'·F, and reading that equation
   coefficient by coefficient gives every coefficient in O(n) ring
   operations from the ones before it: J. C. P. Miller's recurrence for a
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .algebra import LambdaPoly, lambda_shifted_falling
+from .algebra import LambdaPoly, lambda_shifted_falling, lp_conv, lp_dot, xp_dot
 from .scalars import QONE, is_scalar, scalar_inv
 
 
@@ -147,9 +150,8 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
-        n = self._common(other)
-        zero = LambdaPoly.zero()
-        return Series([_dot(self.coeffs, other.coeffs, k, zero) for k in range(n + 1)])
+        a, b = self.coeffs, other.coeffs
+        return Series([lp_conv(a, b, k) for k in range(self._common(other) + 1)])
 
     __rmul__ = __mul__
 
@@ -178,9 +180,9 @@ def deg_exp(exponent, order: int, inner: Series | None = None) -> Series:
 
 def deg_exp_coeffs(exponent, order: int, inner: Series) -> list:
     """Coefficients f_0..f_order of e_λ^w(u(t)) for a delta series u and an
-    exponent w in any ring whose elements multiply λ-polynomials and whose
-    class has ``zero()`` and ``one()``: a λ-polynomial for ``deg_exp``, the
-    polynomial x for the family generating series.
+    exponent w that is a λ-polynomial (for ``deg_exp``) or an x-polynomial
+    (the polynomial x, for the family generating series); each sum below is
+    one ``lp_dot`` or ``xp_dot``.
 
     Read coefficient by coefficient from (1 + λu)·F' = w·u'·F, with f_0 = 1:
     n·f_n = w·[t^(n-1)] u'F - [t^(n-1)] λu·F'.  For u = t this is the
@@ -193,30 +195,18 @@ def deg_exp_coeffs(exponent, order: int, inner: Series) -> list:
             f"(order {inner.order})"
         )
     ring = type(exponent)
-    zero = ring.zero()
+    dot = lp_dot if ring is LambdaPoly else xp_dot
     u = inner.coeffs
     du = [u[j + 1] * (j + 1) for j in range(order)]                # u'
     lam_u = [u[j + 1] * LambdaPoly.var() for j in range(order - 1)]  # λu/t
     coeffs = [ring.one()]
     dcoeffs = []                                                   # F'
     for n in range(1, order + 1):
-        deriv = (_dot(coeffs, du, n - 1, zero) * exponent
-                 - _dot(dcoeffs, lam_u, n - 2, zero))
+        deriv = (dot(zip(coeffs, reversed(du[:n]))) * exponent
+                 - dot(zip(dcoeffs, reversed(lam_u[: n - 1]))))
         dcoeffs.append(deriv)
         coeffs.append(deriv * (QONE / n))
     return coeffs
-
-
-def _dot(a, b, m, zero):
-    """[t^m] of the product of the coefficient lists a and b, skipping zero
-    terms: the one convolution loop of the series engine."""
-    acc = zero
-    for j in range(m + 1):
-        aj = a[j]
-        bj = b[m - j]
-        if aj and bj:
-            acc = acc + aj * bj
-    return acc
 
 
 def deg_log(order: int) -> Series:
@@ -301,7 +291,7 @@ def mul_inverse(f: Series) -> Series:
     tail = f.coeffs[1:]
     out = [LambdaPoly.one() * inv]
     for n in range(1, f.order + 1):
-        out.append(-_dot(tail, out, n - 1, LambdaPoly.zero()) * inv)
+        out.append(-lp_conv(tail, out, n - 1) * inv)
     return Series(out)
 
 

@@ -30,7 +30,14 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .algebra import LambdaPoly, deg_falling_factorial, falling_factorial
+from .algebra import (
+    LambdaPoly,
+    XPoly,
+    deg_falling_factorial,
+    falling_factorial,
+    lp_dot,
+    xp_dot,
+)
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q
 from .series import Series, compose, deg_exp, deg_log, mul_inverse, powers
@@ -160,36 +167,18 @@ def basis_change_rows(targets, basis):
 
 
 def convolution_rows(rows_a, rows_b):
-    """rows[n][k] = sum over m of a[n][m] * b[m][k] (lower-triangular product)."""
-    zero = LambdaPoly.zero()
-    out = []
-    for n, row_a in enumerate(rows_a):
-        row = []
-        for k in range(n + 1):
-            acc = zero
-            for m in range(k, n + 1):
-                a = row_a[m]
-                b = rows_b[m][k]
-                if a and b:
-                    acc = acc + a * b
-            row.append(acc)
-        out.append(row)
-    return out
+    """rows[n][k] = sum over m of a[n][m] * b[m][k] (lower-triangular product),
+    one ``lp_dot`` per entry."""
+    return [[lp_dot([(row_a[m], rows_b[m][k]) for m in range(k, n + 1)])
+             for k in range(n + 1)]
+            for n, row_a in enumerate(rows_a)]
 
 
 def row_sums(rows, seq, order: int):
     """[Σₘ seq[m]·rows[n][m] for n = 0..order]: a triangle's rows applied to a
-    sequence of λ- or x-polynomials, skipping zero terms as convolution_rows
-    does."""
-    zero = type(seq[-1]).zero()
-    sums = []
-    for n in range(order + 1):
-        acc = zero
-        for m, c in enumerate(rows[n]):
-            if c and seq[m]:
-                acc = acc + seq[m] * c
-        sums.append(acc)
-    return sums
+    sequence of λ-polynomials (``lp_dot``) or x-polynomials (``xp_dot``)."""
+    dot = xp_dot if isinstance(seq[-1], XPoly) else lp_dot
+    return [dot(zip(seq, rows[n])) for n in range(order + 1)]
 
 
 def lambda_zero_rows(rows):

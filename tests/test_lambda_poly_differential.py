@@ -5,6 +5,10 @@ reference below is the direct representation — one ``Fraction`` per
 coefficient, schoolbook arithmetic — and lives in the tests only.  Every
 operation must agree with it, and every result must be in canonical form,
 so that equal values built by different routes compare and hash equal.
+
+The dot-product kernels ``lp_dot``/``xp_dot`` are also checked against the
+pairwise loops they replaced (a reduced partial sum after every product),
+which are kept here as oracles.
 """
 
 from fractions import Fraction
@@ -12,7 +16,7 @@ from math import gcd
 
 from hypothesis import given, strategies as st
 
-from degenpoly.algebra import LambdaPoly, _poly_str
+from degenpoly.algebra import LambdaPoly, XPoly, _poly_str, lp_dot, xp_dot
 from degenpoly.scalars import Q
 
 
@@ -168,3 +172,106 @@ def test_constants_compare_with_scalars(s):
     assert poly.constant_value() == s
     assert (poly == s + 1) is False
     assert bool(poly) == bool(s)
+
+
+def int_product(a, b):
+    """The former ``LambdaPoly.__mul__``: an int convolution over the product
+    of the denominators, canonicalised by the constructor."""
+    if not a or not b:
+        return LambdaPoly.zero()
+    out = [0] * (len(a._n) + len(b._n) - 1)
+    for i, x in enumerate(a._n):
+        for j, y in enumerate(b._n):
+            out[i + j] += x * y
+    return LambdaPoly([Fraction(c, a._d * b._d) for c in out])
+
+
+def pairwise_dot(pairs):
+    """The loop ``lp_dot`` replaced: acc = acc + a*b, skipping zero terms."""
+    acc = LambdaPoly.zero()
+    for a, b in pairs:
+        if a and b:
+            acc = acc + int_product(a, b)
+    return acc
+
+
+def pairwise_xmul(p, q):
+    """The former ``XPoly.__mul__``: pairwise sums of λ-products per power of x."""
+    if not p or not q:
+        return XPoly.zero()
+    out = [LambdaPoly.zero()] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + int_product(a, b)
+    return XPoly(out)
+
+
+def pairwise_xdot(pairs):
+    """The loop ``xp_dot`` replaced: acc = acc + p*c over x-polynomials."""
+    acc = XPoly.zero()
+    for p, c in pairs:
+        acc = acc + XPoly([int_product(a, c) for a in p.coeffs])
+    return acc
+
+
+# mixed denominators (a common one, coprime ones, 1/720-style factorials),
+# big numerators and zero coefficients
+dot_scalars = st.one_of(
+    small_ints, big_ints, fractions, st.just(0),
+    st.builds(Fraction, small_ints, st.sampled_from([2, 3, 6, 7, 720, 2**61 - 1])),
+)
+dot_polys = st.lists(dot_scalars, max_size=6)
+dot_pairs = st.lists(st.tuples(dot_polys, dot_polys), max_size=7)
+
+
+def lp_pairs(raw):
+    return [(LambdaPoly(a), LambdaPoly(b)) for a, b in raw]
+
+
+def ref_dot(raw):
+    acc = RefPoly([])
+    for a, b in raw:
+        acc = acc + RefPoly(a) * RefPoly(b)
+    return acc
+
+
+@given(dot_pairs, st.booleans())
+def test_lp_dot_matches_reference_and_pairwise_loop(raw, cancel):
+    if cancel:
+        # the same terms again with a negated left factor: the sum is zero
+        raw = raw + [([-Fraction(c) for c in a], b) for a, b in raw]
+    pairs = lp_pairs(raw)
+    result = lp_dot(pairs)
+    assert_matches(result, ref_dot(raw))
+    expected = pairwise_dot(pairs)
+    assert (result._n, result._d) == (expected._n, expected._d)
+    assert lp_dot(iter(pairs)) == result
+    if cancel or not result:
+        assert result is LambdaPoly.zero()
+
+
+def test_lp_dot_of_no_pairs_is_zero():
+    assert lp_dot([]) is LambdaPoly.zero()
+    assert lp_dot([(LambdaPoly.zero(), LambdaPoly.one())]) is LambdaPoly.zero()
+    half, third = LambdaPoly([Fraction(1, 2)]), LambdaPoly([Fraction(1, 3)])
+    assert lp_dot([(half, half), (third, third)]) == LambdaPoly([Fraction(13, 36)])
+
+
+x_polys = st.lists(dot_polys, max_size=4).map(
+    lambda cs: XPoly([LambdaPoly(c) for c in cs]))
+
+
+@given(x_polys, x_polys)
+def test_xpoly_product_matches_pairwise_product(p, q):
+    product = p * q
+    assert product == pairwise_xmul(p, q)
+    assert not product.coeffs or product.coeffs[-1]
+
+
+@given(st.lists(st.tuples(x_polys, dot_polys.map(LambdaPoly)), max_size=5))
+def test_xp_dot_matches_pairwise_loop(pairs):
+    result = xp_dot(pairs)
+    assert result == pairwise_xdot(pairs)
+    assert not result.coeffs or result.coeffs[-1]
+    for c in result.coeffs:
+        assert c._d > 0 and gcd(c._d, *c._n) == 1 if c else c._d == 1
