@@ -23,6 +23,11 @@ Gathen & Gerhard, *Modern Computer Algebra*, ch. 2 and 8); a single product
 is a dot product of one pair, and an ``XPoly`` product or ``xp_dot`` takes
 one ``lp_dot`` per power of x.
 
+The falling products Π_{j<n}(first + j·step) -- (x)_n, the deformed
+(x)_{n,λ}, (c)_{n,λ} and (λ-1)...(λ-n+1) -- come from one running product,
+``falling_products``, which returns every member n = 0..N from N multiplies;
+the four named helpers read one member of it.
+
 ``XPoly`` stores a tuple of ``LambdaPoly`` values with trailing zeros trimmed.
 Both are dense in ascending power order: degrees stay small (bounded by the
 working truncation order), which makes dense storage simpler and faster than
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import Q, QONE, QZERO, as_scalar, is_scalar, scalar_str
+from .scalars import Q, QZERO, as_scalar, is_scalar, scalar_str
 
 
 def _trim(coeffs: list) -> tuple:
@@ -136,9 +141,6 @@ class LambdaPoly:
 
     def is_zero(self) -> bool:
         return not self._n
-
-    def is_constant(self) -> bool:
-        return len(self._n) <= 1
 
     def constant_value(self):
         """The scalar value if constant, else None."""
@@ -343,9 +345,6 @@ class XPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def is_constant(self) -> bool:
-        return len(self._c) <= 1
-
     def constant_value(self) -> "LambdaPoly | None":
         """The LambdaPoly value if constant in x, else None."""
         if not self._c:
@@ -366,6 +365,9 @@ class XPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals the LambdaPoly (or scalar) it holds, so it hashes like it
+        if len(self._c) <= 1:
+            return hash(self.constant_value())
         return hash(self._c)
 
     def __neg__(self) -> "XPoly":
@@ -487,45 +489,42 @@ def _term_str(coeff_text: str, power: int, name: str) -> str:
     return f"{coeff_text}*{var}"
 
 
+def falling_products(first, step, count: int) -> list:
+    """[Π_{j<n} (first + j·step) for n = 0..count], from one running product
+    of ``count`` multiplies; ``first`` is a LambdaPoly or an XPoly, and
+    ``step`` a scalar or a LambdaPoly."""
+    out = [type(first).one()]
+    for j in range(count):
+        out.append(out[-1] * (first + step * j))
+    return out
+
+
 def falling_factorial(n: int) -> XPoly:
     """x(x-1)(x-2)...(x-n+1); the empty product (n = 0) is 1."""
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
-    result = _XP_ONE
-    for j in range(n):
-        result = result * XPoly((LambdaPoly.const(-j), _LP_ONE))
-    return result
+    return falling_products(_XP_VAR, -1, n)[n]
 
 
 def deg_falling_factorial(n: int) -> XPoly:
     """x(x-λ)(x-2λ)...(x-(n-1)λ); reduces to x^n at λ = 0."""
     if n < 0:
         raise ValueError("degenerate falling factorial needs n >= 0")
-    result = _XP_ONE
-    for j in range(n):
-        result = result * XPoly((LambdaPoly((QZERO, as_scalar(-j))), _LP_ONE))
-    return result
+    return falling_products(_XP_VAR, -_LP_VAR, n)[n]
 
 
 def deg_falling_scalar(base, n: int) -> LambdaPoly:
     """(c)(c-λ)(c-2λ)...(c-(n-1)λ) for a rational c, as a λ-polynomial."""
     if n < 0:
         raise ValueError("degenerate falling factorial needs n >= 0")
-    base = as_scalar(base)
-    result = _LP_ONE
-    for j in range(n):
-        result = result * LambdaPoly((base, as_scalar(-j)))
-    return result
+    return falling_products(LambdaPoly.const(base), -_LP_VAR, n)[n]
 
 
 def lambda_shifted_falling(m: int) -> LambdaPoly:
     """(λ-1)(λ-2)...(λ-m+1); monic of degree m-1, with 1 for m = 1."""
     if m < 1:
         raise ValueError("shifted falling factorial needs m >= 1")
-    result = _LP_ONE
-    for j in range(1, m):
-        result = result * LambdaPoly((as_scalar(-j), QONE))
-    return result
+    return falling_products(_LP_VAR - 1, -1, m - 1)[m - 1]
 
 
 def specialize(poly, lambda_value, x_value=None):

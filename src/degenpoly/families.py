@@ -21,13 +21,14 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .algebra import XPoly, deg_falling_factorial
+from .algebra import LambdaPoly, XPoly, falling_products
 from .oracles import bell_number_classical
 from .triangles import (
     FrozenValue,
     RouteMismatchError,
     Workspace as TriangleWorkspace,
     row_sums,
+    rows_mismatch,
 )
 from .series import Series, classical_exp, deg_exp_coeffs
 
@@ -50,7 +51,7 @@ class PolyFamily(FrozenValue):
 
 def _sum_route(rows, order: int):
     """polys[n] = sum over k of rows[n][k] * x(x-λ)...(x-(k-1)λ)."""
-    return row_sums(rows, [deg_falling_factorial(k) for k in range(order + 1)], order)
+    return row_sums(rows, falling_products(XPoly.var(), -LambdaPoly.var(), order), order)
 
 
 def _egf_route(inner: Series, order: int):
@@ -70,11 +71,10 @@ def _egf_route(inner: Series, order: int):
 
 
 def _validated(kind: str, order: int, sum_polys, egf_polys) -> PolyFamily:
-    for n, (a, b) in enumerate(zip(sum_polys, egf_polys)):
-        if a != b:
-            raise RouteMismatchError(
-                f"{kind} routes disagree at n={n}: sum {a} vs series {b}"
-            )
+    bad = rows_mismatch((sum_polys,), (egf_polys,))
+    if bad is not None:
+        _, n, a, b = bad
+        raise RouteMismatchError(f"{kind} routes disagree at n={n}: sum {a} vs series {b}")
     for n, p in enumerate(sum_polys):
         lead = p.coeff(n).constant_value()
         if p.degree != n or lead != 1:

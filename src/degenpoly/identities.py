@@ -44,15 +44,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial
 
-from .algebra import (
-    LambdaPoly,
-    XPoly,
-    deg_falling_factorial,
-    deg_falling_scalar,
-    falling_factorial,
-    lambda_shifted_falling,
-    specialize,
-)
+from .algebra import LambdaPoly, XPoly, falling_products, specialize
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q, as_scalar, is_scalar, scalar_str
 from .series import Series, deg_exp, mul_inverse
@@ -144,7 +136,7 @@ class _Workspace(_families.Workspace):
         """(1)(1-λ)...(1-(n-1)λ) for n = 0..order: the deformed falling
         factorials at x = 1."""
         return self._get(("fall_at_one",), lambda: tuple(
-            deg_falling_scalar(1, n) for n in range(self.order + 1)))
+            falling_products(LambdaPoly.one(), -LambdaPoly.var(), self.order)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +207,13 @@ def _product_check(target: str, left: str, right: str, label="(n={n}, k={k})"):
 
 
 def _expansion_check(target, family: str, triangle: str):
-    """A check that member n of ``target`` (a family kind, or a function
-    n -> polynomial) is Σₘ family[m]·triangle[n][m]."""
+    """A check that member n of ``target`` (a family kind, or the step s of
+    the falling products x(x+s)...(x+(n-1)s)) is Σₘ family[m]·triangle[n][m]."""
     def check(ws, order):
         if isinstance(target, str):
             expected = ws.family(target).polys
         else:
-            expected = [target(n) for n in range(order + 1)]
+            expected = falling_products(XPoly.var(), target, order)
         sums = row_sums(ws.tri(triangle).rows, ws.family(family).polys, order)
         yield from _member_facts(expected, sums, order)
     return check
@@ -309,7 +301,7 @@ def _check_cor3(ws, order):
 def _check_cor5(ws, order):
     j1 = ws.tri("j1deg").rows
     # the m = 0 weight is never read: s1deg[n][0] = 0 for n >= 1
-    weights = [LambdaPoly.zero()] + [lambda_shifted_falling(m) for m in range(1, order + 1)]
+    weights = [LambdaPoly.zero()] + falling_products(LambdaPoly.var() - 1, -1, order - 1)
     sums = row_sums(ws.tri("s1deg").rows, weights, order)
     for n in range(1, order + 1):
         yield f"(n={n})", j1[n][1], sums[n]
@@ -348,8 +340,9 @@ def _check_eq44(ws, order):
 
 def _check_cor13(ws, order):
     numbers = ws.family_at_one("gaenari")
+    shifted = falling_products(LambdaPoly.var() - 1, -1, order - 1)  # (λ-1)...(λ-n+1)
     for n in range(1, order + 1):
-        yield f"(n={n})", numbers[n], lambda_shifted_falling(n)
+        yield f"(n={n})", numbers[n], shifted[n - 1]
 
 
 def _check_eq52(ws, order):
@@ -466,11 +459,11 @@ _REGISTRY = (
     _Identity("thm9", "deformed Bell polynomials as first-kind-weighted Jindalrae polynomials", _expansion_check("degbell", "jindalrae", "s1deg")),
     _Identity("thm10", "Jindalrae polynomials as second-kind-weighted deformed Bell polynomials", _expansion_check("jindalrae", "degbell", "s2deg")),
     _Identity("thm11", "Gaenari polynomials: iterated-triangle sum equals series extraction", _family_route_check("gaenari")),
-    _Identity("thm12", "plain falling factorials as second-kind-weighted Gaenari polynomials", _expansion_check(falling_factorial, "gaenari", "s2deg")),
+    _Identity("thm12", "plain falling factorials as second-kind-weighted Gaenari polynomials", _expansion_check(-1, "gaenari", "s2deg")),
     _Identity("eq44", "second-kind-weighted Gaenari numbers vanish beyond the first two rows", _check_eq44),
     _Identity("cor13", "Gaenari numbers equal the shifted falling factorial of λ", _check_cor13),
-    _Identity("eq49", "deformed falling factorials as iterated-second-kind-weighted Gaenari polynomials", _expansion_check(deg_falling_factorial, "gaenari", "j2deg")),
-    _Identity("eq51", "deformed falling factorials as iterated-first-kind-weighted Jindalrae polynomials", _expansion_check(deg_falling_factorial, "jindalrae", "j1deg")),
+    _Identity("eq49", "deformed falling factorials as iterated-second-kind-weighted Gaenari polynomials", _expansion_check(-LambdaPoly.var(), "gaenari", "j2deg")),
+    _Identity("eq51", "deformed falling factorials as iterated-first-kind-weighted Jindalrae polynomials", _expansion_check(-LambdaPoly.var(), "jindalrae", "j1deg")),
     _Identity("eq52", "the two dual expansions of the deformed falling factorial agree", _check_eq52),
     _Identity("eq17", "doubly-composed classical triangle: column one gives the Bell numbers", _check_eq17, cap=10),
     _Identity("eq19", "doubly-composed classical triangle: convolution equals the multinomial Bell sum", _triangle_route_check("t"), cap=8),

@@ -38,13 +38,15 @@ which the test suite checks coefficientwise and through round trips.
 
 Powers of a series are read from one running power, ``powers``; so is
 ``comp_inverse``, by Lagrange inversion: [t^n] fbar = (1/n) [t^(n-1)] (t/f)^n.
+Likewise the products (λ-1)...(λ-n+1) of ``deg_log`` come from one running
+product, ``algebra.falling_products``.
 """
 
 from __future__ import annotations
 
 from math import factorial
 
-from .algebra import LambdaPoly, lambda_shifted_falling, lp_conv, lp_dot, xp_dot
+from .algebra import LambdaPoly, falling_products, lp_conv, lp_dot, xp_dot
 from .scalars import QONE, is_scalar, scalar_inv
 
 
@@ -213,11 +215,12 @@ def deg_log(order: int) -> Series:
     """Deformed logarithm of 1+t: t + (λ-1)t²/2! + (λ-1)(λ-2)t³/3! + ..."""
     if order < 0:
         raise ValueError("order must be nonnegative")
+    shifted = falling_products(LambdaPoly.var() - 1, -1, order)  # (λ-1)...(λ-n)
     coeffs = [LambdaPoly.zero()]
     fact = 1
     for n in range(1, order + 1):
         fact *= n
-        coeffs.append(lambda_shifted_falling(n) * (QONE / fact))
+        coeffs.append(shifted[n - 1] * (QONE / fact))
     return Series(coeffs)
 
 

@@ -30,14 +30,7 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .algebra import (
-    LambdaPoly,
-    XPoly,
-    deg_falling_factorial,
-    falling_factorial,
-    lp_dot,
-    xp_dot,
-)
+from .algebra import LambdaPoly, XPoly, falling_products, lp_dot, xp_dot
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q
 from .series import Series, compose, deg_exp, deg_log, mul_inverse, powers
@@ -228,13 +221,13 @@ def t_multinomial_rows(order: int):
     return rows
 
 
-def _series_vs_basis(ws, delta: Series, targets, basis):
-    """Powers of a delta series versus the change of basis expressing
-    targets(n) in the monic basis basis(k)."""
-    order = ws.order
+def _series_vs_basis(ws, delta: Series, target_step, basis_step):
+    """Powers of a delta series versus the change of basis expressing the
+    falling products x(x+s)...(x+(n-1)s) of step s = target_step in the
+    monic basis of those of step basis_step."""
+    order, x = ws.order, XPoly.var()
     return egf_triangle_rows(delta, order), basis_change_rows(
-        [targets(n) for n in range(order + 1)], [basis(k) for k in range(order + 1)]
-    )
+        falling_products(x, target_step, order), falling_products(x, basis_step, order))
 
 
 def _series_vs_convolution(ws, doubled: Series, single: str):
@@ -275,12 +268,10 @@ TRIANGLES = {
         lambda ws: _specialised_vs_oracle(ws, "s2deg", partition_oracle),
         "λ=0 vs partition enumeration"),
     "s1deg": TriangleKind(
-        lambda ws: _series_vs_basis(
-            ws, ws.delta("log"), falling_factorial, deg_falling_factorial),
+        lambda ws: _series_vs_basis(ws, ws.delta("log"), -1, -LambdaPoly.var()),
         "series vs basis change"),
     "s2deg": TriangleKind(
-        lambda ws: _series_vs_basis(
-            ws, ws.delta("exp"), deg_falling_factorial, falling_factorial),
+        lambda ws: _series_vs_basis(ws, ws.delta("exp"), -LambdaPoly.var(), -1),
         "series vs basis change"),
     "j1deg": TriangleKind(
         lambda ws: _series_vs_convolution(ws, ws.doubled("log"), "s1deg"),

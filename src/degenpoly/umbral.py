@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import product as _iterproduct
 from math import factorial
 
-from .algebra import LambdaPoly, XPoly, deg_falling_factorial
+from .algebra import LambdaPoly, XPoly, falling_products
 from .families import PolyFamily, gaenari as _gaenari_direct, jindalrae as _jindalrae_direct
 from .scalars import QONE
 from .series import (
@@ -124,8 +124,8 @@ def falling_factorial_sequence(order: int) -> ShefferSeq:
         fact *= n
         coeffs.append(LambdaPoly([0] * (n - 1) + [QONE / fact]))
     seq = sheffer_from_pair(Series.one(order), Series(coeffs), order)
-    for n in range(order + 1):
-        if seq.poly(n) != deg_falling_factorial(n):
+    for n, fall in enumerate(falling_products(XPoly.var(), -LambdaPoly.var(), order)):
+        if seq.poly(n) != fall:
             raise RouteMismatchError(
                 f"deformed falling sequence disagrees with the direct product at n={n}"
             )

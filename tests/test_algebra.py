@@ -9,6 +9,7 @@ from degenpoly.algebra import (
     deg_falling_factorial,
     deg_falling_scalar,
     falling_factorial,
+    falling_products,
     lambda_shifted_falling,
     specialize,
 )
@@ -21,6 +22,52 @@ def lp(*coeffs):
 
 def xp(*coeffs):
     return XPoly(coeffs)
+
+
+# (first, step, the j-th factor the helper's former loop multiplied in, the
+# helper read as a function of n)
+FALLING_SHAPES = {
+    "falling_factorial": (
+        XPoly.var(), -1, lambda j: xp(-j, 1), falling_factorial),
+    "deg_falling_factorial": (
+        XPoly.var(), -LambdaPoly.var(), lambda j: xp(lp(0, -j), 1), deg_falling_factorial),
+    "deg_falling_scalar": (
+        LambdaPoly.const(Q(3, 2)), -LambdaPoly.var(), lambda j: lp(Q(3, 2), -j),
+        lambda n: deg_falling_scalar(Q(3, 2), n)),
+    "lambda_shifted_falling": (
+        lp(-1, 1), -1, lambda j: lp(-j - 1, 1), lambda n: lambda_shifted_falling(n + 1)),
+}
+
+
+class TestFallingProducts:
+    @pytest.mark.parametrize("shape", FALLING_SHAPES)
+    def test_matches_the_per_n_loops(self, shape):
+        first, step, factor, helper = FALLING_SHAPES[shape]
+        products = falling_products(first, step, 12)
+        assert len(products) == 13
+        for n, p in enumerate(products):
+            # the former loop: member n rebuilt from 1, one factor at a time
+            expected = type(first).one()
+            for j in range(n):
+                expected = expected * factor(j)
+            assert p == expected
+            assert helper(n) == expected
+
+    @pytest.mark.parametrize("first", [XPoly.var(), LambdaPoly.var()])
+    def test_count_zero_is_the_empty_product(self, first):
+        products = falling_products(first, -1, 0)
+        assert products == [1]
+        assert type(products[0]) is type(first)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: falling_factorial(-1), "falling factorial needs n >= 0"),
+        (lambda: deg_falling_factorial(-1), "degenerate falling factorial needs n >= 0"),
+        (lambda: deg_falling_scalar(1, -1), "degenerate falling factorial needs n >= 0"),
+        (lambda: lambda_shifted_falling(0), "shifted falling factorial needs m >= 1"),
+    ])
+    def test_helper_guards_are_unchanged(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 class TestFallingFactorial:

@@ -164,14 +164,20 @@ def test_half_times_two_is_one():
     assert LambdaPoly((Fraction(1, 6), 0, 0)) + LambdaPoly((Fraction(-1, 6),)) == 0
 
 
-@given(scalars)
-def test_constants_compare_with_scalars(s):
-    poly = LambdaPoly.const(s)
-    assert poly == s and poly == Fraction(s)
-    assert hash(poly) == hash(s) and s in {poly}
-    assert poly.constant_value() == s
-    assert (poly == s + 1) is False
-    assert bool(poly) == bool(s)
+@given(scalars, st.sampled_from([
+    (LambdaPoly.const, 0),
+    (XPoly.const, 0),
+    (XPoly.const, 2),  # the x-constant s + 2λ, which is not constant in λ
+]))
+def test_constants_compare_with_scalars(s, case):
+    const, lam = case
+    value = LambdaPoly((s, lam)) if lam else s
+    poly = const(value)
+    assert poly == value and (poly == Fraction(s)) == (not lam)
+    assert hash(poly) == hash(value) and value in {poly}
+    assert poly.constant_value() == value
+    assert (poly == value + 1) is False
+    assert bool(poly) == bool(value)
 
 
 def int_product(a, b):
