@@ -68,12 +68,9 @@ _LAZY = {
     ),
     "umbral": (
         "ShefferSeq",
-        "corollary15_check",
         "falling_factorial_sequence",
-        "gaenari_via_umbral",
         "group_inverse",
         "identity_sheffer",
-        "jindalrae_via_umbral",
         "sheffer_from_pair",
         "stirling1_sequence",
         "stirling2_sequence",

@@ -18,8 +18,8 @@ Most closures are built from a few shared pieces:
   compare a kind's two routes, ``_product_check`` a triangle with a product
   of two others, ``_expansion_check`` a sequence with the row sums of a
   family, ``_slice_check`` a triangle with sums over number slices, and
-  ``_umbral_family_check`` a family with its umbral route, computed by the
-  ``umbral`` layer's own functions.
+  ``_umbral_family_check`` a family with the polynomials of r²∘fall, read
+  from the ``umbral`` layer's coefficient matrices.
 
 ``run_suite`` evaluates each registered identity exactly:
 
@@ -373,9 +373,9 @@ def _check_thm14(ws, order):
     ]
     for qname, q in named:
         for pname, p in named:
-            composed = _umbral.umbral_compose(q, p)
-            regen = _umbral.sheffer_from_pair(composed.g, composed.f, order)
-            yield _matrix_fact(f"group law {qname}∘{pname}", composed.matrix, regen.matrix)
+            regen = _umbral.sheffer_from_pair(*_umbral.compose_pair(q, p), order)
+            yield _matrix_fact(
+                f"group law {qname}∘{pname}", _umbral.umbral_compose(q, p), regen.matrix)
 
     for name, s in named:
         inv = _umbral.group_inverse(s)
@@ -383,14 +383,14 @@ def _check_thm14(ws, order):
             ("right", _umbral.umbral_compose(s, inv)),
             ("left", _umbral.umbral_compose(inv, s)),
         ):
-            yield _matrix_fact(f"{tag} inverse of {name}", prod.matrix, ident.matrix)
+            yield _matrix_fact(f"{tag} inverse of {name}", prod, ident.matrix)
 
     # power pairs regenerate the same matrices
     for name, r in (("log", ws.seq("s2", order)), ("appell", ws.seq("appell", order))):
         for m in (2, 3):
-            powered = _umbral.umbral_power(r, m)
-            regen = _umbral.sheffer_from_pair(powered.g, powered.f, order)
-            yield _matrix_fact(f"power pair {name}^({m})", powered.matrix, regen.matrix)
+            regen = _umbral.sheffer_from_pair(*_umbral.power_pair(r, m), order)
+            yield _matrix_fact(
+                f"power pair {name}^({m})", _umbral.umbral_power(r, m), regen.matrix)
 
 
 def _check_eq56(ws, order):
@@ -398,7 +398,7 @@ def _check_eq56(ws, order):
         r = ws.seq(name, order)
         for m in (2, 3):
             explicit = _umbral.umbral_power_explicit_rows(r, m)
-            powered = _umbral.umbral_power(r, m).matrix
+            powered = _umbral.umbral_power(r, m)
             yield from _entry_facts(explicit, powered, order, f"{name} m={m} (n={{n}}, k={{k}})")
 
 
@@ -413,7 +413,7 @@ def _check_cor15(ws, order):
         composed, lhs, rhs = _umbral.corollary15_sides(ws.seq(name, order), fall, 2, order)
         for n in range(order + 1):
             yield f"{name} substitution (n={n})", lhs[n], rhs[n]
-            yield f"{name} generating coefficient (n={n})", composed.poly(n), target[n]
+            yield f"{name} generating coefficient (n={n})", XPoly(composed[n]), target[n]
 
 
 def _check_degbound(ws, order):

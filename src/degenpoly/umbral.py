@@ -11,10 +11,15 @@ where fbar is the compositional inverse of f.  The exponential is expanded as
 sum of x^k fbar(t)^k / k!, so the whole construction happens over λ-polynomial
 coefficients.
 
-Umbral composition of two sequences is the matrix product of their coefficient
-matrices; sequences form a group under it.  The group law predicts the pair of
-a composition and of an m-fold power, and the identity suite cross-checks the
-matrix arithmetic against sequences regenerated from those predicted pairs.
+Umbral composition of two sequences is the product of their coefficient
+matrices, and the m-fold power of a sequence the m-th power of its matrix:
+``umbral_compose`` and ``umbral_power`` return those matrices and build no
+pair.  The eq56, eq60, eq66 and cor15 checks read only these matrices.
+
+The group law on pairs is a separate statement: ``compose_pair`` and
+``power_pair`` predict the (g, f) pair of a composition and of an m-fold
+power, and only the thm14 check reads them, regenerating each predicted pair
+with ``sheffer_from_pair`` and comparing its matrix with the matrix product.
 
 The power-pair formula: the m-fold power of a sequence with pair (h, ℓ) has
 pair (h(t) h(ℓ(t)) ... h(ℓ^(m-1)(t)), ℓ^m(t)), where ℓ^i is the i-fold
@@ -31,7 +36,6 @@ from itertools import product as _iterproduct
 from math import factorial
 
 from .algebra import LambdaPoly, XPoly, falling_products
-from .families import PolyFamily, gaenari as _gaenari_direct, jindalrae as _jindalrae_direct
 from .scalars import QONE
 from .series import (
     Series,
@@ -132,38 +136,48 @@ def falling_factorial_sequence(order: int) -> ShefferSeq:
     return seq
 
 
-def umbral_compose(q: ShefferSeq, p: ShefferSeq) -> ShefferSeq:
-    """q∘p: substitute p's polynomials into q's coefficient expansion.
-
-    The matrix is the product of the coefficient matrices; the pair follows
-    the group law (p.g * q.g(p.f), q.f(p.f))."""
-    if q.order != p.order:
-        raise ValueError(f"order mismatch: {q.order} vs {p.order}")
-    matrix = convolution_rows(q.matrix, p.matrix)
-    new_g = p.g * compose(q.g, p.f)
-    new_f = compose(q.f, p.f)
-    return ShefferSeq(new_g, new_f, q.order, tuple(tuple(row) for row in matrix))
+def umbral_compose(q: ShefferSeq, p: ShefferSeq) -> tuple:
+    """The coefficient matrix of q∘p (p's polynomials substituted into q's
+    coefficient expansion): the product of q's and p's matrices."""
+    return _composed(q.matrix, p)
 
 
-def umbral_power(r: ShefferSeq, m: int) -> ShefferSeq:
-    """m-fold umbral power: m-th matrix power, pair per the group law."""
+def _composed(matrix, p: ShefferSeq) -> tuple:
+    """The matrix product of a sequence's coefficient matrix and p's."""
+    if len(matrix) != len(p.matrix):
+        raise ValueError(f"order mismatch: {len(matrix) - 1} vs {p.order}")
+    return tuple(tuple(row) for row in convolution_rows(matrix, p.matrix))
+
+
+def umbral_power(r: ShefferSeq, m: int) -> tuple:
+    """The coefficient matrix of the m-fold umbral power: r's matrix to the
+    m-th power."""
     if m < 1:
         raise ValueError("umbral power needs m >= 1")
-    if m == 1:
-        return r
     matrix = r.matrix
     for _ in range(m - 1):
         matrix = convolution_rows(matrix, r.matrix)
+    return tuple(tuple(row) for row in matrix)
+
+
+def compose_pair(q: ShefferSeq, p: ShefferSeq):
+    """The pair of q∘p by the group law: (p.g * q.g(p.f), q.f(p.f))."""
+    return p.g * compose(q.g, p.f), compose(q.f, p.f)
+
+
+def power_pair(r: ShefferSeq, m: int):
+    """The pair of the m-fold umbral power, by the power-pair formula."""
+    if m < 1:
+        raise ValueError("umbral power needs m >= 1")
     one = Series.one(r.order)
     if r.g == one:
-        new_g, new_f = one, compositional_power(r.f, m)
-    else:
-        # g(ℓ^1)..g(ℓ^(m-1)) read the chain ℓ^i = ℓ^(i-1)∘ℓ, which ends at ℓ^m.
-        new_g, new_f = r.g, r.f
-        for _ in range(1, m):
-            new_g = new_g * compose(r.g, new_f)
-            new_f = compose(new_f, r.f)
-    return ShefferSeq(new_g, new_f, r.order, tuple(tuple(row) for row in matrix))
+        return one, compositional_power(r.f, m)
+    # g(ℓ^1)..g(ℓ^(m-1)) read the chain ℓ^i = ℓ^(i-1)∘ℓ, which ends at ℓ^m.
+    g, f = r.g, r.f
+    for _ in range(1, m):
+        g = g * compose(r.g, f)
+        f = compose(f, r.f)
+    return g, f
 
 
 def umbral_power_explicit_rows(r: ShefferSeq, m: int):
@@ -207,48 +221,20 @@ def group_inverse(s: ShefferSeq) -> ShefferSeq:
     return sheffer_from_pair(h, fbar, s.order)
 
 
-def jindalrae_via_umbral(order: int, direct: PolyFamily | None = None) -> PolyFamily:
-    """Jindalrae polynomials as the squared second-kind sequence composed with
-    the deformed falling factorials; must match the direct construction."""
-    return _family_via_umbral(
-        "jindalrae", stirling2_sequence(order), order,
-        direct if direct is not None else _jindalrae_direct(order),
-    )
-
-
-def gaenari_via_umbral(order: int, direct: PolyFamily | None = None) -> PolyFamily:
-    """Gaenari polynomials as the squared first-kind sequence composed with
-    the deformed falling factorials; must match the direct construction."""
-    return _family_via_umbral(
-        "gaenari", stirling1_sequence(order), order,
-        direct if direct is not None else _gaenari_direct(order),
-    )
-
-
-def _family_via_umbral(kind: str, r: ShefferSeq, order: int, direct: PolyFamily) -> PolyFamily:
-    polys = squared_composed_polys(r, falling_factorial_sequence(order))
-    for n in range(order + 1):
-        if polys[n] != direct.poly(n):
-            raise RouteMismatchError(
-                f"{kind} umbral route disagrees with the direct route at n={n}: "
-                f"{polys[n]} vs {direct.poly(n)}"
-            )
-    return PolyFamily(kind, order, polys)
-
-
 def squared_composed_polys(r: ShefferSeq, fall: ShefferSeq) -> tuple:
     """The polynomials of r²∘fall: the Jindalrae polynomials when r is the
     second-kind sequence and fall the deformed falling factorials, the
     Gaenari polynomials when r is the first-kind sequence."""
-    return umbral_compose(umbral_power(r, 2), fall).polys()
+    return tuple(XPoly(row) for row in _composed(umbral_power(r, 2), fall))
 
 
 def corollary15_sides(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
     """The two series Corollary 15 equates, truncated at order (or at the
     sequences' order, if lower): the generating series of r^m∘s, and s's
     generating series with the m-fold compositional power ℓbar of the inverse
-    of r's delta series substituted.  Returns (r^m∘s, lhs, rhs), the sides as
-    their coefficients of t^0..t^order, each a polynomial in x.
+    of r's delta series substituted.  Returns the coefficient matrix of r^m∘s
+    and the sides (lhs, rhs) as their coefficients of t^0..t^order, each a
+    polynomial in x.
 
     The right-hand side is read column by column: [x^k] of it is the
     λ-series Σₙ s[n][k]/n!·ℓbarⁿ, one ``compose`` per column."""
@@ -257,9 +243,8 @@ def corollary15_sides(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
     if m < 1:
         raise ValueError("m must be >= 1")
     order = min(order, r.order, s.order)
-    composed = umbral_compose(umbral_power(r, m), s)
-    lhs = [XPoly(row) * (QONE / factorial(n))
-           for n, row in enumerate(composed.matrix[:order + 1])]
+    composed = _composed(umbral_power(r, m), s)
+    lhs = [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(composed[:order + 1])]
     ell_bar = compositional_power(comp_inverse(r.f.truncate(order)), m)
     zero = LambdaPoly.zero()
     columns = [
@@ -270,10 +255,3 @@ def corollary15_sides(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
     rhs = [XPoly([column.coeffs[n] for column in columns]) for n in range(order + 1)]
     return composed, lhs, rhs
 
-
-def corollary15_check(r: ShefferSeq, s: ShefferSeq, m: int, order: int) -> bool:
-    """Verify that composing with the m-fold power of an associated sequence r
-    substitutes the m-fold inverse of r's delta series into s's generating
-    series."""
-    _, lhs, rhs = corollary15_sides(r, s, m, order)
-    return lhs == rhs

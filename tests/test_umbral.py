@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from degenpoly import umbral
 from degenpoly.algebra import LambdaPoly, XPoly, deg_falling_factorial
 from degenpoly.families import gaenari, jindalrae
 from degenpoly.series import (
@@ -16,7 +17,7 @@ from degenpoly.series import (
     mul_inverse,
 )
 from degenpoly.triangles import (
-    RouteMismatchError,
+    convolution_rows,
     jstirling1,
     jstirling2,
     rows_mismatch,
@@ -24,14 +25,14 @@ from degenpoly.triangles import (
     stirling2_deg,
 )
 from degenpoly.umbral import (
-    corollary15_check,
+    compose_pair,
     corollary15_sides,
     falling_factorial_sequence,
-    gaenari_via_umbral,
     group_inverse,
     identity_sheffer,
-    jindalrae_via_umbral,
+    power_pair,
     sheffer_from_pair,
+    squared_composed_polys,
     stirling1_sequence,
     stirling2_sequence,
     umbral_compose,
@@ -102,22 +103,23 @@ class TestPairConstruction:
 
 class TestGroup:
     def test_identity_is_neutral(self, ident, log_seq):
-        assert umbral_compose(ident, log_seq).matrix == log_seq.matrix
-        assert umbral_compose(log_seq, ident).matrix == log_seq.matrix
+        assert umbral_compose(ident, log_seq) == log_seq.matrix
+        assert umbral_compose(log_seq, ident) == log_seq.matrix
 
     def test_group_law_matches_pair_prediction(self, ident, log_seq, exp_seq, appell_seq):
         seqs = (ident, log_seq, exp_seq, appell_seq)
         for q in seqs:
             for p in seqs:
-                composed = umbral_compose(q, p)
-                regenerated = sheffer_from_pair(composed.g, composed.f, N)
-                assert rows_mismatch(composed.matrix, regenerated.matrix) is None
+                regenerated = sheffer_from_pair(*compose_pair(q, p), N)
+                assert rows_mismatch(umbral_compose(q, p), regenerated.matrix) is None
 
     def test_inverse_law(self, ident, log_seq, exp_seq, appell_seq):
         for s in (log_seq, exp_seq, appell_seq):
             inv = group_inverse(s)
-            assert rows_mismatch(umbral_compose(s, inv).matrix, ident.matrix) is None
-            assert rows_mismatch(umbral_compose(inv, s).matrix, ident.matrix) is None
+            for q, p in ((s, inv), (inv, s)):
+                assert rows_mismatch(umbral_compose(q, p), ident.matrix) is None
+                regenerated = sheffer_from_pair(*compose_pair(q, p), N)
+                assert rows_mismatch(regenerated.matrix, ident.matrix) is None
 
     def test_compose_requires_equal_orders(self, log_seq):
         with pytest.raises(ValueError, match="order mismatch"):
@@ -126,70 +128,80 @@ class TestGroup:
 
 class TestPowers:
     def test_power_one_is_identity_operation(self, log_seq):
-        assert umbral_power(log_seq, 1) is log_seq
+        assert umbral_power(log_seq, 1) == log_seq.matrix
 
     def test_square_of_log_pair_is_iterated_second_kind(self, log_seq):
-        assert rows_mismatch(umbral_power(log_seq, 2).matrix, jstirling2(N).rows) is None
+        assert rows_mismatch(umbral_power(log_seq, 2), jstirling2(N).rows) is None
 
     def test_square_of_exp_pair_is_iterated_first_kind(self, exp_seq):
-        assert rows_mismatch(umbral_power(exp_seq, 2).matrix, jstirling1(N).rows) is None
+        assert rows_mismatch(umbral_power(exp_seq, 2), jstirling1(N).rows) is None
 
     def test_power_is_iterated_compose(self, log_seq):
-        assert umbral_power(log_seq, 3).matrix == umbral_compose(
-            log_seq, umbral_power(log_seq, 2)
-        ).matrix
+        assert rows_mismatch(
+            umbral_power(log_seq, 3), convolution_rows(log_seq.matrix, umbral_power(log_seq, 2))
+        ) is None
 
     def test_power_pair_regenerates_same_matrix(self, log_seq, appell_seq):
         for r in (log_seq, appell_seq):
             for m in (2, 3):
-                powered = umbral_power(r, m)
-                regen = sheffer_from_pair(powered.g, powered.f, N)
-                assert rows_mismatch(powered.matrix, regen.matrix) is None
+                regen = sheffer_from_pair(*power_pair(r, m), N)
+                assert rows_mismatch(umbral_power(r, m), regen.matrix) is None
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_explicit_sum_matches_matrix_power(self, log_seq, m):
         assert rows_mismatch(
-            umbral_power_explicit_rows(log_seq, m), umbral_power(log_seq, m).matrix
+            umbral_power_explicit_rows(log_seq, m), umbral_power(log_seq, m)
         ) is None
 
     def test_power_zero_rejected(self, log_seq):
         with pytest.raises(ValueError):
             umbral_power(log_seq, 0)
+        with pytest.raises(ValueError):
+            power_pair(log_seq, 0)
+
+    def test_matrix_operations_build_no_pair(self, monkeypatch, ident, log_seq, exp_seq, fall_seq):
+        explicit = umbral_power_explicit_rows(log_seq, 3)
+        direct = jindalrae(N).polys
+
+        def refuse(*args):
+            raise AssertionError("a matrix operation built a pair")
+
+        monkeypatch.setattr(umbral, "compose", refuse)
+        monkeypatch.setattr(umbral, "compositional_power", refuse)
+        assert rows_mismatch(umbral_power(log_seq, 3), explicit) is None
+        assert umbral_compose(log_seq, exp_seq) == ident.matrix
+        assert squared_composed_polys(log_seq, fall_seq) == direct
 
 
 class TestFamilyRoutes:
-    def test_jindalrae_matches_direct(self):
-        fam = jindalrae_via_umbral(N)
-        direct = jindalrae(N)
-        assert fam.polys == direct.polys
-
-    def test_gaenari_matches_direct(self):
-        fam = gaenari_via_umbral(N)
-        direct = gaenari(N)
-        assert fam.polys == direct.polys
-
-    def test_mismatch_is_hard_failure(self):
-        wrong = jindalrae(4)
-        with pytest.raises(RouteMismatchError):
-            gaenari_via_umbral(4, direct=wrong)
+    @pytest.mark.parametrize(
+        "name, family", [("log_seq", jindalrae), ("exp_seq", gaenari)],
+        ids=["jindalrae", "gaenari"],
+    )
+    def test_matches_direct(self, request, fall_seq, name, family):
+        r = request.getfixturevalue(name)
+        assert squared_composed_polys(r, fall_seq) == family(N).polys
 
 
 class TestCorollary15:
     def test_trivial_substitution(self, ident, fall_seq):
-        assert corollary15_check(ident, fall_seq, 2, N)
-        assert corollary15_check(ident, fall_seq, 3, N)
+        for m in (2, 3):
+            _, lhs, rhs = corollary15_sides(ident, fall_seq, m, N)
+            assert lhs == rhs
 
     def test_jindalrae_substitution(self, log_seq, fall_seq):
-        assert corollary15_check(log_seq, fall_seq, 2, N)
+        _, lhs, rhs = corollary15_sides(log_seq, fall_seq, 2, N)
+        assert lhs == rhs
 
     def test_gaenari_substitution(self, exp_seq, fall_seq):
-        assert corollary15_check(exp_seq, fall_seq, 2, N)
+        _, lhs, rhs = corollary15_sides(exp_seq, fall_seq, 2, N)
+        assert lhs == rhs
 
     def test_substituted_generating_series_is_the_family_series(self, log_seq, fall_seq):
-        composed = umbral_compose(umbral_power(log_seq, 2), fall_seq)
         em1 = deg_exp(1, N) - 1
         direct = horner(deg_exp_x(N), compose(em1, em1))
-        assert [c * factorial(n) for n, c in enumerate(direct)] == list(composed.polys())
+        assert [c * factorial(n) for n, c in enumerate(direct)] == list(
+            squared_composed_polys(log_seq, fall_seq))
 
     @pytest.mark.parametrize("order", [1, 5, 8])
     @pytest.mark.parametrize("m", [2, 3])
@@ -205,7 +217,7 @@ class TestCorollary15:
 
     def test_requires_associated_r(self, appell_seq, fall_seq):
         with pytest.raises(ValueError, match="associated"):
-            corollary15_check(appell_seq, fall_seq, 2, N)
+            corollary15_sides(appell_seq, fall_seq, 2, N)
 
     def test_inverse_of_composed_map_is_swapped_inverse_chain(self, fall_seq, log_seq, exp_seq):
         # the inverse of ℓ^m(f(t)) is fbar(ℓbar^m(t)), checked as a property
