@@ -84,7 +84,8 @@ def _reduced(nums: list, den: int) -> "LambdaPoly":
 
 class LambdaPoly:
     """Dense polynomial in λ over the exact rationals: int numerators over one
-    shared positive denominator, in canonical form."""
+    shared positive denominator, in canonical form.  Built from an iterable
+    of ascending coefficients: ints, rationals or "p/q" strings."""
 
     __slots__ = ("_n", "_d")
 
@@ -98,11 +99,6 @@ class LambdaPoly:
         # reduced inputs over their lcm leave gcd(den, *nums) == 1 already
         self._n = _trim(nums)
         self._d = den if self._n else 1
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "LambdaPoly":
-        """Build from any iterable of ints / rationals / "p/q" strings."""
-        return cls(coeffs)
 
     @classmethod
     def zero(cls) -> "LambdaPoly":

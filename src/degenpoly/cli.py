@@ -38,11 +38,11 @@ from .families import FAMILY_KINDS, build_family
 from .scalars import as_scalar, is_scalar, scalar_str
 from .triangles import SLICE_KINDS, SLICES, TRIANGLE_KINDS, build_triangle
 
-# What the limit costs, one process per request (best of 5; Python 3.11.7,
-# Fraction scalars, 2-CPU shared Linux host): poly --order 24 takes 0.15 s
-# (degbell, newbell), 0.18 s (jindalrae) and 0.30 s (gaenari); triangle
-# --order 24 of j1deg/j2deg takes 0.27/0.15 s; verify --order 24 (the 38
-# default checks, symbolic only, default table output) takes 0.94 s.
+# What the limit costs, one process per request (best of 10; Python 3.11.7,
+# Fraction scalars, 2-CPU shared Linux host): poly --order 24 takes 0.19 s
+# (degbell), 0.20 s (newbell), 0.25 s (jindalrae) and 0.28 s (gaenari);
+# triangle --order 24 of j1deg/j2deg takes 0.19/0.20 s; verify --order 24
+# (the 38 default checks, symbolic only, default table output) takes 1.34 s.
 MAX_ORDER = 24
 
 

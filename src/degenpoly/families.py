@@ -9,10 +9,11 @@ disagreement).  Every generating series is e_λ^x(u(t)) = (1 + λu)^(x/λ) of
 an inner delta series u, and is read coefficient by coefficient from its
 differential equation (1 + λu)·F' = x·u'·F (Miller's recurrence for powers
 of a series, Knuth, TAOCP vol. 2, §4.7; Stanley, Eur. J. Combin. 1, 1980)
-in O(N²) ring operations, with no Horner composition.  Family polynomials
-are monic of exact degree n in x with a λ-free leading coefficient, which
-the builders verify.  Every kind sits in
-the one ``FAMILIES`` table: the triangle it sums and the inner series of its
+in O(N²) ring operations, with no Horner composition; so are the inner
+series of the doubled families (``triangles.Workspace.doubled``).  Family
+polynomials are monic of exact degree n in x with a λ-free leading
+coefficient, which the builders verify.  Every kind sits in the one
+``FAMILIES`` table: the triangle it sums and the inner series of its
 generating function.
 """
 

@@ -17,6 +17,7 @@ bare ints).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Q = Fraction
@@ -27,6 +28,12 @@ _SCALAR_TYPES = (int, Fraction)
 
 QZERO = Q(0)
 QONE = Q(1)
+
+# The one text form: optional sign, digits, optional "/digits".  Fraction's
+# own parser also takes decimals and exponents, and for "1e999999999" it
+# computes 10**999999999 before any check could run.  Compiled on first use
+# (re's cache), so a process that parses no text pays nothing for it.
+_P_OVER_Q = r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*"
 
 
 def is_scalar(value) -> bool:
@@ -41,9 +48,11 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, _SCALAR_TYPES):
         return value
     if isinstance(value, str):
-        text = value.strip()
+        match = re.fullmatch(_P_OVER_Q, value)
         try:
-            return Q(text)
+            if match is None:
+                raise ValueError("not of the form p/q")
+            return Q(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed rational {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")

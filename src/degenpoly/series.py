@@ -15,38 +15,34 @@ callers pin orders explicitly.  Each coefficient of a product or of
 step of the ``deg_exp_coeffs`` recurrence is two (``xp_dot`` for the
 exponent x).
 
-The two structural constructors:
+Both deformed maps of a delta series u come from one recurrence,
+``deg_exp_coeffs``, which reads F = (1 + a·u)^(w/a) coefficient by
+coefficient from (1 + a·u)·F' = w·u'·F, each in O(n) ring operations:
+J. C. P. Miller's recurrence for a power of a series (Knuth, TAOCP vol. 2,
+§4.7), applied to a series that satisfies a linear differential equation
+(Stanley, "Differentiably finite power series", Eur. J. Combin. 1, 1980).
+That is O(N²) ring operations, where a Horner ``compose`` with the outer
+series takes N series multiplies.
 
-* ``deg_exp(w, N, u=t)``: e_λ^w(u(t)) = (1 + λu)^(w/λ), the deformed
-  exponential of a delta series u (``deg_exp_coeffs`` for a λ- or
-  x-polynomial exponent); for u = t it is the sum of
+* ``deg_exp(w, N, u=t)``: e_λ^w(u(t)) = (1 + λu)^(w/λ) (a = λ) for a λ- or
+  x-polynomial exponent w; for u = t it is the sum of
   w(w-λ)(w-2λ)...(w-(n-1)λ) t^n/n!, which reduces to exp(w t) at λ = 0.
-  F = e_λ^w(u) solves (1 + λu)·F' = w·u'·F, and reading that equation
-  coefficient by coefficient gives every coefficient in O(n) ring
-  operations from the ones before it: J. C. P. Miller's recurrence for a
-  power of a series (Knuth, TAOCP vol. 2, §4.7), applied to a series that
-  satisfies a linear differential equation (Stanley, "Differentiably finite
-  power series", Eur. J. Combin. 1, 1980).  That is O(N²) ring operations,
-  where a Horner ``compose`` with the outer series takes N series multiplies.
-* ``deg_log(N)``: the deformed logarithm of 1+t, built directly from its
-  closed-form coefficients (λ-1)(λ-2)...(λ-n+1)/n!.  The 1/λ prefactor of the
-  defining formula cancels symbolically; division by the indeterminate λ is
-  never performed.
+* ``deg_log(N, u=t)``: log_λ(1 + u(t)) = ((1 + u)^λ - 1)/λ (a = 1, w = λ);
+  for u = t its coefficients are (λ-1)(λ-2)...(λ-n+1)/n!.  The division by
+  λ is an exact shift of numerators, which refuses a nonzero constant term.
 
 ``deg_log`` and ``deg_exp(1) - 1`` are compositional inverses of one another,
 which the test suite checks coefficientwise and through round trips.
 
 Powers of a series are read from one running power, ``powers``; so is
 ``comp_inverse``, by Lagrange inversion: [t^n] fbar = (1/n) [t^(n-1)] (t/f)^n.
-Likewise the products (λ-1)...(λ-n+1) of ``deg_log`` come from one running
-product, ``algebra.falling_products``.
 """
 
 from __future__ import annotations
 
 from math import factorial
 
-from .algebra import LambdaPoly, falling_products, lp_conv, lp_dot, xp_dot
+from .algebra import LambdaPoly, lp_conv, lp_dot, xp_dot
 from .scalars import QONE, is_scalar, scalar_inv
 
 
@@ -175,21 +171,22 @@ def deg_exp(exponent, order: int, inner: Series | None = None) -> Series:
         raise TypeError(
             f"exponent must be a scalar or λ-polynomial, got {type(exponent).__name__}"
         )
-    if inner is None:
-        inner = Series.identity(order)
     return Series(deg_exp_coeffs(exponent, order, inner))
 
 
-def deg_exp_coeffs(exponent, order: int, inner: Series) -> list:
-    """Coefficients f_0..f_order of e_λ^w(u(t)) for a delta series u and an
-    exponent w that is a λ-polynomial (for ``deg_exp``) or an x-polynomial
-    (the polynomial x, for the family generating series); each sum below is
-    one ``lp_dot`` or ``xp_dot``.
+def deg_exp_coeffs(exponent, order: int, inner: Series | None = None,
+                   a=LambdaPoly.var()) -> list:
+    """Coefficients f_0..f_order of F = (1 + a·u(t))^(w/a) for a delta series
+    u (t when inner is None), a scalar or λ-polynomial a (λ: F = e_λ^w(u))
+    and an exponent w that is a λ-polynomial or an x-polynomial (x, for the
+    family generating series); each sum below is one ``lp_dot`` or ``xp_dot``.
 
-    Read coefficient by coefficient from (1 + λu)·F' = w·u'·F, with f_0 = 1:
-    n·f_n = w·[t^(n-1)] u'F - [t^(n-1)] λu·F'.  For u = t this is the
-    falling product f_n = f_(n-1)·(w - (n-1)λ)/n.
+    Read coefficient by coefficient from (1 + a·u)·F' = w·u'·F, with f_0 = 1:
+    n·f_n = w·[t^(n-1)] u'F - [t^(n-1)] a·u·F'.  For u = t this is the
+    falling product f_n = f_(n-1)·(w - (n-1)a)/n.
     """
+    if inner is None:
+        inner = Series.identity(order)
     _check_delta(inner)
     if inner.order < order:
         raise ValueError(
@@ -199,29 +196,33 @@ def deg_exp_coeffs(exponent, order: int, inner: Series) -> list:
     ring = type(exponent)
     dot = lp_dot if ring is LambdaPoly else xp_dot
     u = inner.coeffs
-    du = [u[j + 1] * (j + 1) for j in range(order)]                # u'
-    lam_u = [u[j + 1] * LambdaPoly.var() for j in range(order - 1)]  # λu/t
+    du = [u[j + 1] * (j + 1) for j in range(order)]   # u'
+    a_u = [u[j + 1] * a for j in range(order - 1)]    # a·u/t
     coeffs = [ring.one()]
-    dcoeffs = []                                                   # F'
+    dcoeffs = []                                      # F'
     for n in range(1, order + 1):
         deriv = (dot(zip(coeffs, reversed(du[:n]))) * exponent
-                 - dot(zip(dcoeffs, reversed(lam_u[: n - 1]))))
+                 - dot(zip(dcoeffs, reversed(a_u[: n - 1]))))
         dcoeffs.append(deriv)
         coeffs.append(deriv * (QONE / n))
     return coeffs
 
 
-def deg_log(order: int) -> Series:
-    """Deformed logarithm of 1+t: t + (λ-1)t²/2! + (λ-1)(λ-2)t³/3! + ..."""
+def deg_log(order: int, inner: Series | None = None) -> Series:
+    """Deformed logarithm log_λ(1 + u(t)) = ((1 + u)^λ - 1)/λ of a delta
+    series u (u = t when inner is None: t + (λ-1)t²/2! + ...), with
+    (1 + u)^λ from the recurrence ``deg_exp_coeffs`` at a = 1."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    shifted = falling_products(LambdaPoly.var() - 1, -1, order)  # (λ-1)...(λ-n)
-    coeffs = [LambdaPoly.zero()]
-    fact = 1
-    for n in range(1, order + 1):
-        fact *= n
-        coeffs.append(shifted[n - 1] * (QONE / fact))
-    return Series(coeffs)
+    power = deg_exp_coeffs(LambdaPoly.var(), order, inner, 1)
+    return Series([LambdaPoly.zero()] + [_over_lambda(c) for c in power[1:]])
+
+
+def _over_lambda(c: LambdaPoly) -> LambdaPoly:
+    """c/λ, exactly: the coefficients of c shifted down one power of λ."""
+    if c.coeff(0):
+        raise ValueError(f"cannot divide {c} by λ: nonzero constant term")
+    return LambdaPoly(c.coeffs[1:])
 
 
 def classical_exp(order: int) -> Series:

@@ -9,16 +9,17 @@ for the degenerate families.  A route disagreement raises
 
 Routes per kind, all in the one ``TRIANGLES`` table (a ``Workspace`` builds
 a kind's routes once, after the kinds and series they read, and validates
-them; the delta series e_λ(t)-1 and log_λ(1+t) and their self-compositions
-are built once per workspace and shared with the family routes):
+them; the delta series e_λ(t)-1 and log_λ(1+t) and each map of its own
+delta series come from one recurrence, ``series.deg_exp_coeffs``, and are
+built once per workspace and shared with the family routes):
 
 * second-kind degenerate ("s2deg"): EGF extraction from powers of e_λ(t)-1
   versus the triangular change of basis expressing x(x-λ)...(x-(n-1)λ) in the
   plain falling-factorial basis.
 * first-kind degenerate ("s1deg"): powers of the deformed logarithm versus
   the change of basis expressing (x)_n in the deformed falling basis.
-* iterated kinds ("j2deg"/"j1deg"): powers of the doubly-composed map versus
-  the self-convolution of the single-level triangle.
+* iterated kinds ("j2deg"/"j1deg"): powers of the doubled map versus the
+  self-convolution of the single-level triangle.
 * classical ("s2"/"s1"): λ=0 specialisation versus brute-force oracles.
 * doubly-composed classical ("t"): convolution of the classical second-kind
   table with itself versus the multinomial sum over Bell-number products
@@ -33,6 +34,7 @@ from typing import NamedTuple
 from .algebra import LambdaPoly, XPoly, falling_products, lp_dot, xp_dot
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q
+# compose is not called here: perfbench/test_perfbench.py reads triangles.compose.
 from .series import Series, compose, deg_exp, deg_log, mul_inverse, powers
 
 _ORACLE_CHECK_LIMIT = 10
@@ -283,17 +285,11 @@ TRIANGLES = {
 }
 TRIANGLE_KINDS = tuple(TRIANGLES)
 
-# The delta series shared by triangle routes and family generating functions.
-_DELTAS = {
-    "exp": lambda order: deg_exp(1, order) - 1,  # e_λ(t) - 1
-    "log": lambda order: deg_log(order),         # log_λ(1 + t)
-}
-
-# Each delta series composed with itself: e_λ(u) - 1 from the differential
-# equation of e_λ, log_λ(1 + u) by Horner.
-_DOUBLED = {
-    "exp": lambda ws: deg_exp(1, ws.order, ws.delta("exp")) - 1,
-    "log": lambda ws: compose(ws.delta("log"), ws.delta("log")),
+# The deformed maps e_λ(u) - 1 and log_λ(1 + u) of an inner delta series u
+# (t when omitted), shared with the family generating functions.
+_DELTA_MAPS = {
+    "exp": lambda order, inner=None: deg_exp(1, order, inner) - 1,
+    "log": lambda order, inner=None: deg_log(order, inner),
 }
 
 
@@ -312,11 +308,12 @@ class Workspace:
 
     def delta(self, name: str) -> Series:
         """e_λ(t) - 1 ("exp") or log_λ(1 + t) ("log") at the workspace order."""
-        return self._get(("delta", name), lambda: _DELTAS[name](self.order))
+        return self._get(("delta", name), lambda: _DELTA_MAPS[name](self.order))
 
     def doubled(self, name: str) -> Series:
-        """A delta series composed with itself."""
-        return self._get(("doubled", name), lambda: _DOUBLED[name](self))
+        """A deformed map applied to its own delta series."""
+        return self._get(("doubled", name), lambda: _DELTA_MAPS[name](
+            self.order, self.delta(name)))
 
     def routes(self, kind: str):
         """Both routes of a triangle kind, as (rows_a, rows_b)."""

@@ -17,7 +17,7 @@ from degenpoly.scalars import Q, as_scalar
 
 
 def lp(*coeffs):
-    return LambdaPoly.from_coeffs(coeffs)
+    return LambdaPoly(coeffs)
 
 
 def xp(*coeffs):
@@ -102,7 +102,7 @@ class TestDegFallingFactorial:
 
     @pytest.mark.parametrize("n", range(13))
     def test_lambda_zero_gives_monomial(self, n):
-        expected = LambdaPoly.from_coeffs([0] * n + [1])
+        expected = LambdaPoly([0] * n + [1])
         assert specialize(deg_falling_factorial(n), 0) == expected
 
     def test_scalar_variant_matches_substitution(self):
@@ -190,7 +190,7 @@ class TestCanonicalForm:
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
-            LambdaPoly.from_coeffs([0.5])
+            LambdaPoly([0.5])
 
     def test_malformed_string_rejected(self):
         with pytest.raises(ValueError):
@@ -198,11 +198,9 @@ class TestCanonicalForm:
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-lambda_polys = st.builds(
-    LambdaPoly.from_coeffs, st.lists(rationals, min_size=0, max_size=5)
-)
+lambda_polys = st.builds(LambdaPoly, st.lists(rationals, min_size=0, max_size=5))
 x_polys = st.builds(
-    lambda rows: XPoly([LambdaPoly.from_coeffs(r) for r in rows]),
+    lambda rows: XPoly([LambdaPoly(r) for r in rows]),
     st.lists(st.lists(rationals, min_size=0, max_size=3), min_size=0, max_size=4),
 )
 

@@ -99,6 +99,14 @@ class TestTriangleCommand:
         )
         assert code == 2
 
+    def test_exponent_notation_is_usage_error(self, capsys):
+        # Fraction's parser would read 1e5000 as a 5001-digit integer
+        code, out, err = run_cli(
+            capsys, "eval", "--expr", "s2deg(3,1)", "--lambda", "1e5000"
+        )
+        assert code == 2 and out == ""
+        assert "malformed rational '1e5000'" in err
+
 
 class TestPolyCommand:
     def test_gaenari_at_x_one(self, capsys):

@@ -24,7 +24,7 @@ N = 8
 
 
 def lp(*coeffs):
-    return LambdaPoly.from_coeffs(coeffs)
+    return LambdaPoly(coeffs)
 
 
 def xp(*coeffs):
@@ -64,7 +64,7 @@ class TestDegBell:
 
         for n in range(N + 1):
             coeffs = [partition_oracle(n, k) for k in range(n + 1)]
-            assert specialize(bell.poly(n), 0) == LambdaPoly.from_coeffs(coeffs)
+            assert specialize(bell.poly(n), 0) == LambdaPoly(coeffs)
 
 
 class TestNewTypeBell:
@@ -79,7 +79,7 @@ class TestNewTypeBell:
         fam = newtype_bell(6)
         for n in range(7):
             coeffs = [partition_oracle(n, k) for k in range(n + 1)]
-            assert specialize(fam.poly(n), 0) == LambdaPoly.from_coeffs(coeffs)
+            assert specialize(fam.poly(n), 0) == LambdaPoly(coeffs)
 
 
 class TestJindalrae:

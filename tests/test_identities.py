@@ -140,7 +140,7 @@ class TestWitness:
 
         def subtle(ws, order):
             # λ(λ-1) agrees with 0 at λ in {0, 1} but nowhere else
-            yield "(n=0)", LambdaPoly.from_coeffs([0, -1, 1]), LambdaPoly.zero()
+            yield "(n=0)", LambdaPoly([0, -1, 1]), LambdaPoly.zero()
 
         _patch_check(monkeypatch, "cor13", subtle)
         results = run_suite(

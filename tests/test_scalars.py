@@ -22,7 +22,7 @@ class TestCoercion:
             as_scalar(0.5)
 
     def test_rejects_garbage_strings(self):
-        for bad in ("1//2", "a/b", "1/0", ""):
+        for bad in ("1//2", "a/b", "1/0", "", "1e5000", "1.5"):
             with pytest.raises(ValueError):
                 as_scalar(bad)
 

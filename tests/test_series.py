@@ -1,9 +1,11 @@
 """Series engine: constructors, composition, inverses, truncation rules."""
 
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degenpoly.algebra import LambdaPoly, XPoly, specialize
+from degenpoly.algebra import LambdaPoly, XPoly, falling_products, specialize
 from degenpoly.scalars import Q
 from degenpoly.series import (
     Series,
@@ -14,6 +16,7 @@ from degenpoly.series import (
     deg_exp,
     deg_exp_coeffs,
     deg_log,
+    _over_lambda,
     mul_inverse,
     powers,
     scaled_power,
@@ -22,7 +25,7 @@ from xseries import deg_exp_x, horner
 
 
 def lp(*coeffs):
-    return LambdaPoly.from_coeffs(coeffs)
+    return LambdaPoly(coeffs)
 
 
 class TestConstructors:
@@ -56,6 +59,15 @@ class TestConstructors:
     def test_deg_log_third_coefficient(self):
         # (λ-1)(λ-2)/3! = (λ^2 - 3λ + 2)/6
         assert deg_log(3).coeffs[3] == lp(Q(1, 3), Q(-1, 2), Q(1, 6))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 24])
+    def test_deg_log_matches_its_closed_form(self, order):
+        """The recurrence against the closed-form coefficients
+        (λ-1)(λ-2)...(λ-n+1)/n!, the route deg_log took before it."""
+        shifted = falling_products(LambdaPoly.var() - 1, -1, order)  # (λ-1)...(λ-n)
+        closed = [LambdaPoly.zero()] + [
+            shifted[n - 1] * Q(1, factorial(n)) for n in range(1, order + 1)]
+        assert deg_log(order) == Series(closed)
 
     def test_deg_log_lambda_zero_is_classical(self):
         s = deg_log(6)
@@ -188,8 +200,7 @@ class TestSeriesBasics:
 
 
 small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-small_lambda_poly = st.lists(small_rational, min_size=0, max_size=3).map(
-    LambdaPoly.from_coeffs)
+small_lambda_poly = st.lists(small_rational, min_size=0, max_size=3).map(LambdaPoly)
 
 
 def delta_series(order):
@@ -271,6 +282,21 @@ def test_deg_exp_of_inner_matches_horner_compose(exponent, inner):
         assert deg_exp(exponent, n, inner) == compose(deg_exp(exponent, n), inner)
 
 
+@settings(max_examples=40, deadline=None)
+@given(inner_series())
+def test_deg_log_of_inner_matches_horner_compose(inner):
+    """log_λ(1 + u) from the recurrence for (1 + u)^λ against the Horner
+    composition with log_λ(1 + t), the route doubled("log") took before."""
+    n = inner.order
+    assert deg_log(n, inner) == compose(deg_log(n), inner)
+
+
+def test_division_by_lambda_refuses_a_nonzero_constant_term():
+    assert _over_lambda(lp(0, 2, Q(1, 3))) == lp(2, Q(1, 3))
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        _over_lambda(lp(1, 1))
+
+
 def test_deg_exp_of_inner_reads_only_the_requested_order():
     x = XPoly.var()
     assert deg_exp_coeffs(x, 6, deg_log(9)) == deg_exp_coeffs(x, 6, deg_log(6))
@@ -278,11 +304,13 @@ def test_deg_exp_of_inner_reads_only_the_requested_order():
 
 def test_deg_exp_rejects_nonzero_constant_term_like_compose():
     not_delta = deg_exp(1, 4)
-    with pytest.raises(ValueError, match="constant term") as recurrence:
-        deg_exp_coeffs(XPoly.var(), 4, not_delta)
     with pytest.raises(ValueError) as horner_route:
         compose(deg_exp(1, 4), not_delta)
-    assert str(recurrence.value) == str(horner_route.value)
+    for recurrence_route in (lambda: deg_exp_coeffs(XPoly.var(), 4, not_delta),
+                             lambda: deg_log(4, not_delta)):
+        with pytest.raises(ValueError, match="constant term") as recurrence:
+            recurrence_route()
+        assert str(recurrence.value) == str(horner_route.value)
 
 
 def test_deg_exp_rejects_inner_truncated_below_order():

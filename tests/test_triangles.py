@@ -22,7 +22,7 @@ N = 8
 
 
 def lp(*coeffs):
-    return LambdaPoly.from_coeffs(coeffs)
+    return LambdaPoly(coeffs)
 
 
 @pytest.fixture(scope="module")
