@@ -100,13 +100,18 @@ def _csv_lines(fieldnames, rows) -> str:
 def _write_records(args, kind: str, order: int, parameters, fieldnames, records):
     """Write (key, ..., value) records as one JSON document or as CSV rows;
     fieldnames names the keys and then the value."""
-    if args.format == "json":
-        entries = [dict(zip(fieldnames, (*keys, render_value(value))))
-                   for *keys, value in records]
-        sys.stdout.write(render_json(_document(kind, order, entries, parameters)))
-    else:
-        rows = [(*keys, render_text(value)) for *keys, value in records]
-        sys.stdout.write(_csv_lines(fieldnames, rows))
+    try:
+        if args.format == "json":
+            entries = [dict(zip(fieldnames, (*keys, render_value(value))))
+                       for *keys, value in records]
+            text = render_json(_document(kind, order, entries, parameters))
+        else:
+            rows = [(*keys, render_text(value)) for *keys, value in records]
+            text = _csv_lines(fieldnames, rows)
+    except ValueError as exc:  # str() of an int past sys.get_int_max_str_digits()
+        raise UsageError(f"a value has an integer of over {sys.get_int_max_str_digits()} "
+                         "digits, too long to print") from exc
+    sys.stdout.write(text)
 
 
 def _specialized(value, lam, x=None):

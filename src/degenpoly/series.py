@@ -21,8 +21,8 @@ coefficient from (1 + a·u)·F' = w·u'·F, each in O(n) ring operations:
 J. C. P. Miller's recurrence for a power of a series (Knuth, TAOCP vol. 2,
 §4.7), applied to a series that satisfies a linear differential equation
 (Stanley, "Differentiably finite power series", Eur. J. Combin. 1, 1980).
-That is O(N²) ring operations, where a Horner ``compose`` with the outer
-series takes N series multiplies.
+That is O(N²) ring operations, where ``compose`` with the outer series
+takes N - 1 series multiplies to build the power table.
 
 * ``deg_exp(w, N, u=t)``: e_λ^w(u(t)) = (1 + λu)^(w/λ) (a = λ) for a λ- or
   x-polynomial exponent w; for u = t it is the sum of
@@ -34,8 +34,11 @@ series takes N series multiplies.
 ``deg_log`` and ``deg_exp(1) - 1`` are compositional inverses of one another,
 which the test suite checks coefficientwise and through round trips.
 
-Powers of a series are read from one running power, ``powers``; so is
-``comp_inverse``, by Lagrange inversion: [t^n] fbar = (1/n) [t^(n-1)] (t/f)^n.
+Powers of a series are read from one running power, ``powers``.  So are
+``comp_inverse``, by Lagrange inversion: [t^n] fbar = (1/n) [t^(n-1)] (t/f)^n,
+and ``compose``: at a fixed delta series u, f -> f(u) is linear, and
+``substitution(u)`` reads it from the table u^0..u^N, u's exponential Riordan
+matrix up to n!/k! (Shapiro et al., Discrete Appl. Math. 34, 1991).
 """
 
 from __future__ import annotations
@@ -238,18 +241,22 @@ def classical_exp(order: int) -> Series:
 
 
 def compose(outer: Series, inner: Series) -> Series:
-    """outer(inner(t)) by Horner over truncated series.
+    """outer(inner(t)), to the lower of the two orders, through
+    ``substitution``; an inner series with a nonzero constant term is refused."""
+    return substitution(inner, outer._common(inner))(outer)
 
-    The inner series must be a delta-like substitution target: a nonzero
-    constant term would make the truncated composition ill-defined.
-    """
-    n = outer._common(inner)
+
+def substitution(inner: Series, order: int | None = None):
+    """The map outer -> outer(u) for a delta series u = inner, read from the
+    table u^0..u^N (N the lower of order and u's order) built once by
+    ``powers``: [t^m] f(u) = Σ_k f_k [t^m] u^k is one ``lp_dot``."""
     _check_delta(inner)
-    inner = inner.truncate(n)
-    result = Series([outer.coeffs[n]] + [LambdaPoly.zero()] * n)
-    for i in range(n - 1, -1, -1):
-        result = result * inner + outer.coeffs[i]
-    return result
+    n = inner.order if order is None else min(order, inner.order)
+    u = inner.truncate(n)
+    table = [Series.one(n), *powers(u, u, n - 1)]
+    columns = [[power.coeffs[m] for power in table[: m + 1]] for m in range(n + 1)]
+    return lambda outer: Series([lp_dot(zip(outer.coeffs, column))
+                                 for column in columns[: outer.order + 1]])
 
 
 def _check_delta(inner: Series) -> None:
@@ -322,9 +329,10 @@ def compositional_power(f: Series, m: int) -> Series:
     """m-fold self-composition f(f(...f(t)...)), left-associated."""
     if m < 1:
         raise ValueError("compositional power needs m >= 1")
+    of_f = substitution(f)
     result = f
     for _ in range(m - 1):
-        result = compose(result, f)
+        result = of_f(result)
     return result
 
 

@@ -45,6 +45,7 @@ from .series import (
     deg_exp,
     deg_log,
     mul_inverse,
+    substitution,
     unit_scalar,
 )
 from .triangles import RouteMismatchError, convolution_rows, egf_triangle_rows
@@ -162,7 +163,8 @@ def umbral_power(r: ShefferSeq, m: int) -> tuple:
 
 def compose_pair(q: ShefferSeq, p: ShefferSeq):
     """The pair of q∘p by the group law: (p.g * q.g(p.f), q.f(p.f))."""
-    return p.g * compose(q.g, p.f), compose(q.f, p.f)
+    of_pf = substitution(p.f)
+    return p.g * of_pf(q.g), of_pf(q.f)
 
 
 def power_pair(r: ShefferSeq, m: int):
@@ -174,9 +176,10 @@ def power_pair(r: ShefferSeq, m: int):
         return one, compositional_power(r.f, m)
     # g(ℓ^1)..g(ℓ^(m-1)) read the chain ℓ^i = ℓ^(i-1)∘ℓ, which ends at ℓ^m.
     g, f = r.g, r.f
+    of_rf = substitution(r.f)
     for _ in range(1, m):
         g = g * compose(r.g, f)
-        f = compose(f, r.f)
+        f = of_rf(f)
     return g, f
 
 
@@ -237,7 +240,7 @@ def corollary15_sides(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
     polynomial in x.
 
     The right-hand side is read column by column: [x^k] of it is the
-    λ-series Σₙ s[n][k]/n!·ℓbarⁿ, one ``compose`` per column."""
+    λ-series Σₙ s[n][k]/n!·ℓbarⁿ, all through one ``substitution`` of ℓbar."""
     if not r.is_associated():
         raise ValueError("r must be an associated sequence (unit invertible part)")
     if m < 1:
@@ -245,11 +248,11 @@ def corollary15_sides(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
     order = min(order, r.order, s.order)
     composed = _composed(umbral_power(r, m), s)
     lhs = [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(composed[:order + 1])]
-    ell_bar = compositional_power(comp_inverse(r.f.truncate(order)), m)
+    of_ell_bar = substitution(compositional_power(comp_inverse(r.f.truncate(order)), m))
     zero = LambdaPoly.zero()
     columns = [
-        compose(Series([row[k] * (QONE / factorial(n)) if k <= n else zero
-                        for n, row in enumerate(s.matrix[:order + 1])]), ell_bar)
+        of_ell_bar(Series([row[k] * (QONE / factorial(n)) if k <= n else zero
+                           for n, row in enumerate(s.matrix[:order + 1])]))
         for k in range(order + 1)
     ]
     rhs = [XPoly([column.coeffs[n] for column in columns]) for n in range(order + 1)]

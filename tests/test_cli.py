@@ -279,6 +279,15 @@ class TestEvalCommand:
         assert code == 2 and out == ""
         assert "exceeds the guard rail" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_value_too_long_to_print_is_usage_error(self, capsys, fmt):
+        # s2deg(4,1) is cubic in λ: a 2 001-digit λ gives a value of over
+        # 6 000 digits, past Python's int-to-text limit
+        code, out, err = run_cli(capsys, "eval", "--expr", "s2deg(4,1)",
+                                 "--lambda", "1" + "0" * 2000, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "too long to print" in err
+
     def test_bad_expression(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--expr", "what?")
         assert code == 2

@@ -20,6 +20,7 @@ from degenpoly.series import (
     mul_inverse,
     powers,
     scaled_power,
+    substitution,
 )
 from xseries import deg_exp_x, horner
 
@@ -279,7 +280,7 @@ def test_deg_exp_of_inner_matches_horner_compose(exponent, inner):
     if isinstance(exponent, XPoly):
         assert deg_exp_coeffs(exponent, n, inner) == horner(deg_exp_x(n), inner)
     else:
-        assert deg_exp(exponent, n, inner) == compose(deg_exp(exponent, n), inner)
+        assert deg_exp(exponent, n, inner) == Series(horner(deg_exp(exponent, n).coeffs, inner))
 
 
 @settings(max_examples=40, deadline=None)
@@ -288,7 +289,36 @@ def test_deg_log_of_inner_matches_horner_compose(inner):
     """log_λ(1 + u) from the recurrence for (1 + u)^λ against the Horner
     composition with log_λ(1 + t), the route doubled("log") took before."""
     n = inner.order
-    assert deg_log(n, inner) == compose(deg_log(n), inner)
+    assert deg_log(n, inner) == Series(horner(deg_log(n).coeffs, inner))
+
+
+@pytest.mark.parametrize("offset", [2, 0, -1], ids=["outer-above", "equal", "outer-below"])
+@settings(max_examples=25, deadline=None)
+@given(inner=inner_series(), coeffs=st.lists(small_lambda_poly, min_size=13, max_size=13))
+def test_compose_matches_the_horner_oracle(offset, inner, coeffs):
+    """The power-table composition against Horner, with an outer series whose
+    order is above, equal to or below the inner one's: the result has the
+    lower of the two orders."""
+    outer = Series(coeffs[: max(inner.order + offset, 0) + 1])
+    composed = compose(outer, inner)
+    assert composed.order == min(outer.order, inner.order)
+    assert composed == Series(horner(outer.coeffs, inner))
+
+
+def test_one_substitution_serves_every_outer(monkeypatch):
+    u = deg_log(8)
+    outers = [deg_exp(1, 8) - 1, deg_exp(LambdaPoly.var(), 10), deg_log(5), Series.one(8)]
+    mul = Series.__mul__
+    calls = []
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    of_u, of_u_at_5 = substitution(u), substitution(u, 5)
+    assert len(calls) == 7 + 4   # u^2..u^8 and u^2..u^5, once each
+    composed = [of_u(outer) for outer in outers]
+    truncated = [of_u_at_5(outer) for outer in outers]
+    assert len(calls) == 11      # applying a map multiplies no series
+    monkeypatch.undo()
+    assert composed == [compose(outer, u) for outer in outers]
+    assert truncated == [compose(outer.truncate(min(outer.order, 5)), u) for outer in outers]
 
 
 def test_division_by_lambda_refuses_a_nonzero_constant_term():
