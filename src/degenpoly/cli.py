@@ -42,7 +42,7 @@ from .triangles import SLICE_KINDS, SLICES, TRIANGLE_KINDS, build_triangle
 # Fraction scalars, 2-CPU shared Linux host): poly --order 24 takes 0.19 s
 # (degbell), 0.20 s (newbell), 0.25 s (jindalrae) and 0.28 s (gaenari);
 # triangle --order 24 of j1deg/j2deg takes 0.19/0.20 s; verify --order 24
-# (the 38 default checks, symbolic only, default table output) takes 1.34 s.
+# (the 38 default checks, symbolic only, default table output) takes 0.91 s.
 MAX_ORDER = 24
 
 
