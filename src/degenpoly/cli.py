@@ -108,7 +108,9 @@ def _write_records(args, kind: str, order: int, parameters, fieldnames, records)
         else:
             rows = [(*keys, render_text(value)) for *keys, value in records]
             text = _csv_lines(fieldnames, rows)
-    except ValueError as exc:  # str() of an int past sys.get_int_max_str_digits()
+    except ValueError as exc:  # only CPython's int-to-text digit limit is the user's
+        if "integer string conversion" not in str(exc):
+            raise
         raise UsageError(f"a value has an integer of over {sys.get_int_max_str_digits()} "
                          "digits, too long to print") from exc
     sys.stdout.write(text)

@@ -243,18 +243,17 @@ def classical_exp(order: int) -> Series:
 def compose(outer: Series, inner: Series) -> Series:
     """outer(inner(t)), to the lower of the two orders, through
     ``substitution``; an inner series with a nonzero constant term is refused."""
-    return substitution(inner, outer._common(inner))(outer)
+    outer._common(inner)
+    return substitution(inner)(outer)
 
 
-def substitution(inner: Series, order: int | None = None):
-    """The map outer -> outer(u) for a delta series u = inner, read from the
-    table u^0..u^N (N the lower of order and u's order) built once by
-    ``powers``: [t^m] f(u) = Σ_k f_k [t^m] u^k is one ``lp_dot``."""
-    _check_delta(inner)
-    n = inner.order if order is None else min(order, inner.order)
-    u = inner.truncate(n)
-    table = [Series.one(n), *powers(u, u, n - 1)]
-    columns = [[power.coeffs[m] for power in table[: m + 1]] for m in range(n + 1)]
+def substitution(u: Series):
+    """The map outer -> outer(u), to the lower of the two orders, for a delta
+    series u, read from the table u^0..u^N built once by ``powers``:
+    [t^m] f(u) = Σ_k f_k [t^m] u^k is one ``lp_dot``."""
+    _check_delta(u)
+    table = [Series.one(u.order), *powers(u, u, u.order - 1)]
+    columns = [[power.coeffs[m] for power in table[: m + 1]] for m in range(u.order + 1)]
     return lambda outer: Series([lp_dot(zip(outer.coeffs, column))
                                  for column in columns[: outer.order + 1]])
 

@@ -288,6 +288,13 @@ class TestEvalCommand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "too long to print" in err
 
+    def test_other_render_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        def broken(value):
+            raise ValueError("renderer bug")
+        monkeypatch.setattr("degenpoly.cli.render_value", broken)
+        with pytest.raises(ValueError, match="renderer bug"):
+            main(["eval", "--expr", "s2deg(4,1)", "--format", "json"])
+
     def test_bad_expression(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--expr", "what?")
         assert code == 2

@@ -311,7 +311,7 @@ def test_one_substitution_serves_every_outer(monkeypatch):
     mul = Series.__mul__
     calls = []
     monkeypatch.setattr(Series, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    of_u, of_u_at_5 = substitution(u), substitution(u, 5)
+    of_u, of_u_at_5 = substitution(u), substitution(u.truncate(5))
     assert len(calls) == 7 + 4   # u^2..u^8 and u^2..u^5, once each
     composed = [of_u(outer) for outer in outers]
     truncated = [of_u_at_5(outer) for outer in outers]
