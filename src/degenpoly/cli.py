@@ -67,13 +67,6 @@ def render_value(value):
     raise TypeError(f"cannot render {type(value).__name__}")
 
 
-def render_text(value) -> str:
-    """Flat text form for the CSV output."""
-    if is_scalar(value):
-        return scalar_str(value)
-    return str(value)
-
-
 def render_json(document) -> str:
     return json.dumps(
         document, sort_keys=True, separators=(",", ":"), ensure_ascii=False
@@ -106,8 +99,7 @@ def _write_records(args, kind: str, order: int, parameters, fieldnames, records)
                        for *keys, value in records]
             text = render_json(_document(kind, order, entries, parameters))
         else:
-            rows = [(*keys, render_text(value)) for *keys, value in records]
-            text = _csv_lines(fieldnames, rows)
+            text = _csv_lines(fieldnames, records)  # csv writes each value as str(value)
     except ValueError as exc:  # only CPython's int-to-text digit limit is the user's
         if "integer string conversion" not in str(exc):
             raise

@@ -46,7 +46,7 @@ from math import comb, factorial
 
 from .algebra import LambdaPoly, XPoly, falling_products, specialize
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
-from .scalars import Q, as_scalar, is_scalar, scalar_str
+from .scalars import Q, as_scalar, scalar_str
 from .series import Series, deg_exp, mul_inverse
 from .triangles import SLICES, convolution_rows, row_sums, rows_mismatch
 from . import families as _families
@@ -504,26 +504,18 @@ def _value_at(value, lam):
     return value
 
 
-def _render(value) -> str:
-    if isinstance(value, (LambdaPoly, XPoly, bool)):
-        return str(value)
-    if is_scalar(value):
-        return scalar_str(value)
-    return repr(value)
-
-
 def _first_failure(facts, lambda_values):
     """The witness of the first fact that fails, symbolically and then at each
     λ value in turn; None when every fact holds."""
     for label, lhs, rhs in facts:
         if lhs != rhs:
-            return f"{label}: {_render(lhs)} != {_render(rhs)}"
+            return f"{label}: {lhs} != {rhs}"
     for lam in lambda_values:
         for label, lhs, rhs in facts:
             left = _value_at(lhs, lam)
             right = _value_at(rhs, lam)
             if left != right:
-                return f"{label} at λ={scalar_str(lam)}: {_render(left)} != {_render(right)}"
+                return f"{label} at λ={scalar_str(lam)}: {left} != {right}"
     return None
 
 

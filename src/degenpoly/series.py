@@ -2,8 +2,9 @@
 
 A ``Series`` holds raw coefficients c_0..c_N of t^n over LambdaPoly; the
 series is known modulo t^(N+1).  Statements about number families are in EGF
-form, so ``egf_coeff(n) = n! * c_n`` is the accessor used at every
-table-facing boundary; raw coefficients keep composition and inversion simple.
+form: ``egf_coeff(n) = n! * c_n`` reads one such value, and the triangle and
+family builders scale whole rows by precomputed factorials; raw coefficients
+keep composition and inversion simple.
 
 Every generating series in t has λ-polynomial coefficients; polynomials in x
 are only the values a series generates.  The family route reads them from
@@ -15,8 +16,8 @@ callers pin orders explicitly.  Each coefficient of a product or of
 step of the ``deg_exp_coeffs`` recurrence is two (``xp_dot`` for the
 exponent x).
 
-Both deformed maps of a delta series u come from one recurrence,
-``deg_exp_coeffs``, which reads F = (1 + a·u)^(w/a) coefficient by
+Both deformed maps of a delta series u, and exp(t), come from one
+recurrence, ``deg_exp_coeffs``, which reads F = (1 + a·u)^(w/a) coefficient by
 coefficient from (1 + a·u)·F' = w·u'·F, each in O(n) ring operations:
 J. C. P. Miller's recurrence for a power of a series (Knuth, TAOCP vol. 2,
 §4.7), applied to a series that satisfies a linear differential equation
@@ -30,6 +31,7 @@ takes N - 1 series multiplies to build the power table.
 * ``deg_log(N, u=t)``: log_λ(1 + u(t)) = ((1 + u)^λ - 1)/λ (a = 1, w = λ);
   for u = t its coefficients are (λ-1)(λ-2)...(λ-n+1)/n!.  The division by
   λ is an exact shift of numerators, which refuses a nonzero constant term.
+* ``classical_exp(N)``: exp(t) (a = 0, w = 1), the λ = 0 limit.
 
 ``deg_log`` and ``deg_exp(1) - 1`` are compositional inverses of one another,
 which the test suite checks coefficientwise and through round trips.
@@ -180,9 +182,10 @@ def deg_exp(exponent, order: int, inner: Series | None = None) -> Series:
 def deg_exp_coeffs(exponent, order: int, inner: Series | None = None,
                    a=LambdaPoly.var()) -> list:
     """Coefficients f_0..f_order of F = (1 + a·u(t))^(w/a) for a delta series
-    u (t when inner is None), a scalar or λ-polynomial a (λ: F = e_λ^w(u))
-    and an exponent w that is a λ-polynomial or an x-polynomial (x, for the
-    family generating series); each sum below is one ``lp_dot`` or ``xp_dot``.
+    u (t when inner is None), a scalar or λ-polynomial a (λ: F = e_λ^w(u);
+    0: F = exp(w·u), the limit a -> 0) and an exponent w that is a
+    λ-polynomial or an x-polynomial (x, for the family generating series);
+    each sum below is one ``lp_dot`` or ``xp_dot``.
 
     Read coefficient by coefficient from (1 + a·u)·F' = w·u'·F, with f_0 = 1:
     n·f_n = w·[t^(n-1)] u'F - [t^(n-1)] a·u·F'.  For u = t this is the
@@ -229,15 +232,11 @@ def _over_lambda(c: LambdaPoly) -> LambdaPoly:
 
 
 def classical_exp(order: int) -> Series:
-    """exp(t) truncated: coefficients 1/n! (λ-free)."""
+    """exp(t) truncated: coefficients 1/n! (λ-free), from the recurrence
+    ``deg_exp_coeffs`` at a = 0, w = 1."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    fact = 1
-    coeffs = [LambdaPoly.one()]
-    for n in range(1, order + 1):
-        fact *= n
-        coeffs.append(LambdaPoly((QONE / fact,)))
-    return Series(coeffs)
+    return Series(deg_exp_coeffs(LambdaPoly.one(), order, None, 0))
 
 
 def compose(outer: Series, inner: Series) -> Series:

@@ -21,12 +21,13 @@ The group law on pairs is a separate statement: ``compose_pair`` and
 power, and only the thm14 check reads them, regenerating each predicted pair
 with ``sheffer_from_pair`` and comparing its matrix with the matrix product.
 
-The power-pair formula: the m-fold power of a sequence with pair (h, ℓ) has
-pair (h(t) h(ℓ(t)) ... h(ℓ^(m-1)(t)), ℓ^m(t)), where ℓ^i is the i-fold
-compositional power.  (For associated sequences, h = 1, this is just
-(1, ℓ^m).)  The product runs from i = 0: the composition rule applied to
-r∘r forces the bare h(t) factor, as the Appell special case (h, t) -> (h^m, t)
-confirms.
+The power pair is m - 1 group-law steps r^i = r^(i-1)∘r: with r's pair
+(h, ℓ) each maps (g, f) to (h·g(ℓ), f(ℓ)), all through one ``substitution``
+of ℓ, which gives (h^m, t) for Appell and (1, ℓ^m) for associated sequences.
+The group inverse's pair (1/g(fbar), fbar) is also the prefactor and delta
+series of (g, f)'s own generating identity (a Sheffer matrix is the
+exponential Riordan array of its inverse pair: Shapiro et al., Discrete Appl.
+Math. 34, 1991); ``_inverse_pair`` computes it for both.
 """
 
 from __future__ import annotations
@@ -92,13 +93,20 @@ def sheffer_from_pair(g: Series, f: Series, order: int) -> ShefferSeq:
         )
     g = g.truncate(order)
     f = f.truncate(order)
-    fbar = comp_inverse(f)
-    prefactor = None if g == Series.one(order) else mul_inverse(compose(g, fbar))
+    prefactor, fbar = _inverse_pair(g, f)
     rows = egf_triangle_rows(fbar, order, prefactor)
     for n in range(order + 1):
         if not rows[n][n]:
             raise RouteMismatchError(f"degenerate pair: zero diagonal entry at n={n}")
     return ShefferSeq(g, f, order, tuple(tuple(row) for row in rows))
+
+
+def _inverse_pair(g: Series, f: Series):
+    """The pair (1/g(fbar), fbar), fbar the compositional inverse of f; for
+    g = 1 the first member is 1 and nothing is composed."""
+    fbar = comp_inverse(f)
+    one = Series.one(g.order)
+    return (one if g == one else mul_inverse(compose(g, fbar))), fbar
 
 
 def identity_sheffer(order: int) -> ShefferSeq:
@@ -168,18 +176,14 @@ def compose_pair(q: ShefferSeq, p: ShefferSeq):
 
 
 def power_pair(r: ShefferSeq, m: int):
-    """The pair of the m-fold umbral power, by the power-pair formula."""
+    """The pair of the m-fold umbral power: m - 1 group-law steps
+    (g, f) -> (r.g·g(ℓ), f(ℓ)) through one substitution of ℓ = r.f."""
     if m < 1:
         raise ValueError("umbral power needs m >= 1")
-    one = Series.one(r.order)
-    if r.g == one:
-        return one, compositional_power(r.f, m)
-    # g(ℓ^1)..g(ℓ^(m-1)) read the chain ℓ^i = ℓ^(i-1)∘ℓ, which ends at ℓ^m.
+    of_ell = substitution(r.f)
     g, f = r.g, r.f
-    of_rf = substitution(r.f)
-    for _ in range(1, m):
-        g = g * compose(r.g, f)
-        f = of_rf(f)
+    for _ in range(m - 1):
+        g, f = r.g * of_ell(g), of_ell(f)
     return g, f
 
 
@@ -218,10 +222,8 @@ def umbral_power_explicit_rows(r: ShefferSeq, m: int):
 
 
 def group_inverse(s: ShefferSeq) -> ShefferSeq:
-    """The umbral-composition inverse: pair (g(fbar)^(-1), fbar)."""
-    fbar = comp_inverse(s.f)
-    h = mul_inverse(compose(s.g, fbar))
-    return sheffer_from_pair(h, fbar, s.order)
+    """The umbral-composition inverse: the sequence of s's inverse pair."""
+    return sheffer_from_pair(*_inverse_pair(s.g, s.f), s.order)
 
 
 def squared_composed_polys(r: ShefferSeq, fall: ShefferSeq) -> tuple:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from degenpoly.algebra import LambdaPoly, XPoly
 from degenpoly.identities import (
     CheckResult,
     SuiteConfig,
@@ -10,6 +11,7 @@ from degenpoly.identities import (
     identity_ids,
     run_suite,
 )
+from degenpoly.scalars import Q
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +125,30 @@ def _patch_check(monkeypatch, identity_id, fn):
     monkeypatch.setattr(ident_mod, "_BY_ID", {i.identity_id: i for i in registry})
 
 
+class _OffAtEveryLambda(LambdaPoly):
+    """Equal to its LambdaPoly symbolically, one more at every λ value: a fact
+    built from it holds symbolically and fails only at a λ."""
+
+    def eval(self, lam):
+        return super().eval(lam) + 1
+
+
+# label, (lhs, rhs), λ values, the exact witness: every kind of value a fact
+# holds, rendered symbolically and at a λ value.
+_WITNESS_CASES = [
+    ("fraction", (Q(1, 2), 1), (), "fraction: 1/2 != 1"),
+    ("bool", (False, True), (), "bool: False != True"),
+    ("lambda", (LambdaPoly([1, Q(-3, 2)]), LambdaPoly.one()), (), "lambda: 1 - 3/2*λ != 1"),
+    ("xpoly", (XPoly([LambdaPoly([0, 2]), 1]), XPoly.var()), (), "xpoly: 2*λ + x != x"),
+    ("int-at", (_OffAtEveryLambda([2]), 2), ("1/2",), "int-at at λ=1/2: 3 != 2"),
+    ("lambda-at", (_OffAtEveryLambda([1, -1]), LambdaPoly([1, -1])), ("1/2",),
+     "lambda-at at λ=1/2: 3/2 != 1/2"),
+    ("bool-at", (True, _OffAtEveryLambda([1])), ("-1",), "bool-at at λ=-1: True != 2"),
+    ("xpoly-at", (XPoly([_OffAtEveryLambda([0, 1]), 1]), XPoly([LambdaPoly([0, 1]), 1])),
+     ("-1",), "xpoly-at at λ=-1: λ != -1 + λ"),
+]
+
+
 class TestWitness:
     def test_failure_carries_witness(self, monkeypatch):
         from degenpoly.algebra import LambdaPoly
@@ -147,6 +173,17 @@ class TestWitness:
             SuiteConfig(order=3, identity_filter=("cor13",))
         )
         assert results[0].status == "fail"  # symbolic comparison already fails
+
+    @pytest.mark.parametrize("label, sides, lambdas, expected", _WITNESS_CASES,
+                             ids=[case[0] for case in _WITNESS_CASES])
+    def test_witness_text_is_pinned(self, monkeypatch, label, sides, lambdas, expected):
+        def failing(ws, order):
+            yield (label, *sides)
+
+        _patch_check(monkeypatch, "cor13", failing)
+        results = run_suite(SuiteConfig(order=3, identity_filter=("cor13",),
+                                        lambda_specializations=lambdas))
+        assert (results[0].status, results[0].witness) == ("fail", expected)
 
     def test_error_becomes_error_result(self, monkeypatch):
         def exploding(ws, order):

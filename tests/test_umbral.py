@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from degenpoly import umbral
+from degenpoly import series, umbral
 from degenpoly.algebra import LambdaPoly, XPoly, deg_falling_factorial
 from degenpoly.families import gaenari, jindalrae
 from degenpoly.series import (
@@ -172,6 +172,42 @@ class TestPowers:
         assert umbral_compose(log_seq, exp_seq) == ident.matrix
         assert squared_composed_polys(log_seq, fall_seq) == direct
 
+
+def _count_maps(monkeypatch):
+    """Count substitution maps under both names, series' (which ``compose``
+    reads) and umbral's: the returned list grows by one per map built."""
+    built = []
+    real = series.substitution
+
+    def counted(u):
+        built.append(u)
+        return real(u)
+
+    monkeypatch.setattr(series, "substitution", counted)
+    monkeypatch.setattr(umbral, "substitution", counted)
+    return built
+
+
+class TestPairCost:
+    @pytest.mark.parametrize("name", ["log_seq", "appell_seq"])
+    def test_power_pair_builds_one_map(self, request, monkeypatch, name):
+        r = request.getfixturevalue(name)
+        built = _count_maps(monkeypatch)
+        power_pair(r, 3)
+        assert built == [r.f]
+
+    def test_inverse_of_associated_sequence_composes_nothing(self, monkeypatch, log_seq):
+        built = _count_maps(monkeypatch)
+        composed = []
+
+        def counted(outer, inner):
+            composed.append(outer)
+            return compose(outer, inner)
+
+        monkeypatch.setattr(umbral, "compose", counted)
+        inv = group_inverse(log_seq)
+        assert composed == [] and built == []
+        assert umbral_compose(log_seq, inv) == identity_sheffer(N).matrix
 
 class TestFamilyRoutes:
     @pytest.mark.parametrize(

@@ -1,0 +1,74 @@
+"""Every name a package module imports is used there: a standard-library
+``ast`` stand-in for a linter's unused-import rule.
+
+A name counts as used when it appears as a bare name (an attribute access
+``a.b`` reads ``a``) or inside a string annotation.  ``__init__.py`` is
+exempt, since it imports to re-export, as is a name listed in a module's
+``__all__``.  ``triangles.compose`` is exempt as well: the benchmark's
+tracing test reads it there.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "degenpoly"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+EXEMPT = {("triangles", "compose")}
+
+
+def _imported(tree):
+    """(bound name, line) for every import statement in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def _used(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                names |= _used(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass  # prose, not an annotation
+    return names
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used(tree) | _exported(tree)
+    return [(name, line) for name, line in _imported(tree)
+            if name not in used and (path.stem, name) not in EXEMPT]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_check_sees_an_unused_import(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from .scalars import Q, is_scalar\n"
+        "import os.path\n"
+        "def f(x) -> 'Q':\n"
+        "    return os.path.join(x)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(module) == [("is_scalar", 1)]
