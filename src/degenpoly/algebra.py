@@ -82,6 +82,19 @@ def _reduced(nums: list, den: int) -> "LambdaPoly":
     return _make(nums, den)
 
 
+def _power(base, n: int):
+    """base**n for a LambdaPoly or an XPoly, by square-and-multiply."""
+    if n < 0:
+        raise ValueError("negative polynomial power")
+    result = type(base).one()
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 class LambdaPoly:
     """Dense polynomial in λ over the exact rationals: int numerators over one
     shared positive denominator, in canonical form.  Built from an iterable
@@ -215,17 +228,7 @@ class LambdaPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LambdaPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = _LP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    __pow__ = _power
 
     def eval(self, lam):
         """Exact Horner evaluation at a rational λ, homogenised in ints."""
@@ -386,7 +389,7 @@ class XPoly:
 
     def __sub__(self, other):
         if isinstance(other, (XPoly, LambdaPoly)) or is_scalar(other):
-            return self + (-(other if isinstance(other, XPoly) else XPoly.const(other)))
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -408,17 +411,7 @@ class XPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "XPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = _XP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    __pow__ = _power
 
     def eval_x(self, x_value) -> LambdaPoly:
         """Horner evaluation at a rational x, leaving λ symbolic."""
@@ -537,12 +530,6 @@ def specialize(poly, lambda_value, x_value=None):
         return poly.eval(lambda_value)
     if isinstance(poly, XPoly):
         lam = as_scalar(lambda_value)
-        values = [c.eval(lam) for c in poly.coeffs]
-        if x_value is None:
-            return LambdaPoly(values)
-        x_value = as_scalar(x_value)
-        acc = QZERO
-        for v in reversed(values):
-            acc = acc * x_value + v
-        return acc
+        values = LambdaPoly([c.eval(lam) for c in poly.coeffs])
+        return values if x_value is None else values.eval(x_value)
     raise TypeError(f"cannot specialize {type(poly).__name__}")

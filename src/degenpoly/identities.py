@@ -500,7 +500,7 @@ def _value_at(value, lam):
     if isinstance(value, LambdaPoly):
         return value.eval(lam)
     if isinstance(value, XPoly):
-        return specialize(value, lam)
+        return XPoly([c.eval(lam) for c in value.coeffs])
     return value
 
 

@@ -141,11 +141,7 @@ class Series:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Series):
-            return self + (-other)
-        coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] - other
-        return Series(coeffs)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -168,8 +164,6 @@ def deg_exp(exponent, order: int, inner: Series | None = None) -> Series:
     """Deformed exponential e_λ^w(u(t)) = (1 + λu)^(w/λ) of a delta series u
     (u = t when inner is None) for a scalar or λ-polynomial exponent w: sum
     of (w)_{k,λ} u^k/k!, from the recurrence ``deg_exp_coeffs``."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     if is_scalar(exponent):
         exponent = LambdaPoly.const(exponent)
     elif not isinstance(exponent, LambdaPoly):
@@ -191,6 +185,8 @@ def deg_exp_coeffs(exponent, order: int, inner: Series | None = None,
     n·f_n = w·[t^(n-1)] u'F - [t^(n-1)] a·u·F'.  For u = t this is the
     falling product f_n = f_(n-1)·(w - (n-1)a)/n.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if inner is None:
         inner = Series.identity(order)
     _check_delta(inner)
@@ -218,8 +214,6 @@ def deg_log(order: int, inner: Series | None = None) -> Series:
     """Deformed logarithm log_λ(1 + u(t)) = ((1 + u)^λ - 1)/λ of a delta
     series u (u = t when inner is None: t + (λ-1)t²/2! + ...), with
     (1 + u)^λ from the recurrence ``deg_exp_coeffs`` at a = 1."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     power = deg_exp_coeffs(LambdaPoly.var(), order, inner, 1)
     return Series([LambdaPoly.zero()] + [_over_lambda(c) for c in power[1:]])
 
@@ -234,8 +228,6 @@ def _over_lambda(c: LambdaPoly) -> LambdaPoly:
 def classical_exp(order: int) -> Series:
     """exp(t) truncated: coefficients 1/n! (λ-free), from the recurrence
     ``deg_exp_coeffs`` at a = 0, w = 1."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     return Series(deg_exp_coeffs(LambdaPoly.one(), order, None, 0))
 
 

@@ -70,9 +70,6 @@ class ShefferSeq:
     def polys(self):
         return tuple(XPoly(row) for row in self.matrix)
 
-    def is_associated(self) -> bool:
-        return self.g == Series.one(self.g.order)
-
 
 def sheffer_from_pair(g: Series, f: Series, order: int) -> ShefferSeq:
     """Build the sequence for an invertible/delta pair via its generating
@@ -243,7 +240,7 @@ def corollary15_sides(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
 
     The right-hand side is read column by column: [x^k] of it is the
     λ-series Σₙ s[n][k]/n!·ℓbarⁿ, all through one ``substitution`` of ℓbar."""
-    if not r.is_associated():
+    if r.g != Series.one(r.g.order):
         raise ValueError("r must be an associated sequence (unit invertible part)")
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -185,8 +185,17 @@ class TestCanonicalForm:
         assert base ** 0 == LambdaPoly.one()
         assert base ** 2 == lp(1, 2, 1)
         assert xp(1, 1) ** 2 == xp(1, 2, 1)
+        # odd and multi-bit exponents, against repeated products
+        for poly in (lp(Q(1, 2), -1, 3), xp(lp(1, 1), Q(-2, 3), 1)):
+            product = type(poly).one()
+            for n in range(1, 8):
+                product = product * poly
+                if n in (3, 5, 7):
+                    assert poly ** n == product
         with pytest.raises(ValueError):
             base ** -1
+        with pytest.raises(ValueError):
+            xp(1, 1) ** -1
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
@@ -221,6 +230,14 @@ def test_x_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
+
+
+@settings(max_examples=40, deadline=None)
+@given(x_polys, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_specialize_at_x_is_evaluation_in_x_then_in_lambda(p, lam, x):
+    assert specialize(p, lam, x) == p.eval_x(x).eval(lam)
+    assert specialize(XPoly.zero(), lam, x) == 0
 
 
 @settings(max_examples=40, deadline=None)

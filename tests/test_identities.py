@@ -145,7 +145,7 @@ _WITNESS_CASES = [
      "lambda-at at λ=1/2: 3/2 != 1/2"),
     ("bool-at", (True, _OffAtEveryLambda([1])), ("-1",), "bool-at at λ=-1: True != 2"),
     ("xpoly-at", (XPoly([_OffAtEveryLambda([0, 1]), 1]), XPoly([LambdaPoly([0, 1]), 1])),
-     ("-1",), "xpoly-at at λ=-1: λ != -1 + λ"),
+     ("-1",), "xpoly-at at λ=-1: x != -1 + x"),
 ]
 
 

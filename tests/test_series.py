@@ -343,6 +343,18 @@ def test_deg_exp_rejects_nonzero_constant_term_like_compose():
         assert str(recurrence.value) == str(horner_route.value)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: deg_exp(1, -1),
+    lambda: deg_exp(1, -1, Series.identity(4)),
+    lambda: deg_log(-1),
+    lambda: deg_log(-1, Series.identity(4)),
+    lambda: classical_exp(-1),
+], ids=["deg_exp", "deg_exp-inner", "deg_log", "deg_log-inner", "classical_exp"])
+def test_negative_order_is_refused(build):
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        build()
+
+
 def test_deg_exp_rejects_inner_truncated_below_order():
     with pytest.raises(ValueError, match="truncated below"):
         deg_exp(1, 6, deg_log(4))

@@ -6,6 +6,10 @@ A name counts as used when it appears as a bare name (an attribute access
 exempt, since it imports to re-export, as is a name listed in a module's
 ``__all__``.  ``triangles.compose`` is exempt as well: the benchmark's
 tracing test reads it there.
+
+Every module-level private function or class (one whose name starts with a
+single underscore) is referenced somewhere in the package, as a bare name or
+as an attribute: dead private code fails here.
 """
 
 import ast
@@ -72,3 +76,44 @@ def test_check_sees_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == [("is_scalar", 1)]
+
+
+def _private_definitions(tree):
+    """(name, line) of every module-level private function or class."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            yield node.name, node.lineno
+
+
+def _referenced(tree):
+    """The names a module uses, and every attribute name it reads."""
+    return _used(tree) | {node.attr for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute)}
+
+
+def unreferenced_private_definitions(paths):
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    used = set().union(*map(_referenced, trees.values()))
+    return [(path.stem, name, line) for path, tree in trees.items()
+            for name, line in _private_definitions(tree) if name not in used]
+
+
+def test_no_unreferenced_private_definitions():
+    assert unreferenced_private_definitions(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_check_sees_an_unreferenced_private_definition(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "class _Used:\n"
+        "    pass\n"
+        "def _dead():\n"
+        "    return _Used()\n"
+        "def _read_as_attribute():\n"
+        "    pass\n"
+        "def public():\n"
+        "    return sample._read_as_attribute\n",
+        encoding="utf-8",
+    )
+    assert unreferenced_private_definitions([module]) == [("sample", "_dead", 3)]
