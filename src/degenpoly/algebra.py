@@ -502,13 +502,6 @@ def deg_falling_factorial(n: int) -> XPoly:
     return falling_products(_XP_VAR, -_LP_VAR, n)[n]
 
 
-def deg_falling_scalar(base, n: int) -> LambdaPoly:
-    """(c)(c-λ)(c-2λ)...(c-(n-1)λ) for a rational c, as a λ-polynomial."""
-    if n < 0:
-        raise ValueError("degenerate falling factorial needs n >= 0")
-    return falling_products(LambdaPoly.const(base), -_LP_VAR, n)[n]
-
-
 def lambda_shifted_falling(m: int) -> LambdaPoly:
     """(λ-1)(λ-2)...(λ-m+1); monic of degree m-1, with 1 for m = 1."""
     if m < 1:

@@ -377,6 +377,8 @@ def _check_thm14(ws, order):
             yield _matrix_fact(
                 f"group law {qname}∘{pname}", _umbral.umbral_compose(q, p), regen.matrix)
 
+    # s's matrix inverts its Riordan array [g, f]; inv's inverts the array of
+    # (1/g(fbar), fbar), so s∘inv = I checks s's generating identity
     for name, s in named:
         inv = _umbral.group_inverse(s)
         for tag, prod in (

@@ -2,9 +2,9 @@
 
 A ``Series`` holds raw coefficients c_0..c_N of t^n over LambdaPoly; the
 series is known modulo t^(N+1).  Statements about number families are in EGF
-form: ``egf_coeff(n) = n! * c_n`` reads one such value, and the triangle and
-family builders scale whole rows by precomputed factorials; raw coefficients
-keep composition and inversion simple.
+form, about the values n! * c_n: the triangle and family builders scale whole
+rows by precomputed factorials; raw coefficients keep composition and
+inversion simple.
 
 Every generating series in t has λ-polynomial coefficients; polynomials in x
 are only the values a series generates.  The family route reads them from
@@ -89,10 +89,6 @@ class Series:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
-
-    def egf_coeff(self, n: int):
-        """n! * c_n: the value the generating identities talk about."""
-        return self.coeff(n) * factorial(n)
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:

@@ -96,12 +96,6 @@ class Triangle(FrozenValue):
             return LambdaPoly.zero()
         return self.rows[n][k]
 
-    def specialized(self, lambda_value):
-        """All entries at a rational λ, as triangular rows of scalars."""
-        return tuple(
-            tuple(c.eval(lambda_value) for c in row) for row in self.rows
-        )
-
 
 def rows_mismatch(rows_a, rows_b):
     """First (n, k, a, b) where two triangular tables differ, else None."""

@@ -3,13 +3,22 @@ invertible series g and a delta series f.
 
 A sequence is represented by its defining pair together with the
 lower-triangular coefficient matrix of s_n(x) in the monomial basis, read off
-from the generating identity
+from the defining orthogonality ⟨g(t) f(t)^k | s_n(x)⟩ = n! δ_{n,k} (Roman,
+The Umbral Calculus, 1984, §2.3): the matrix is the inverse of the
+exponential Riordan array R[n][k] = n!/k! [t^n] g(t) f(t)^k (Shapiro et al.,
+Discrete Appl. Math. 34, 1991).  R's diagonal g(0)·f'(0)^n is a nonzero
+scalar, so the inverse is one forward substitution over R's rows; no series
+is inverted or composed.
+
+The generating identity
 
     (1 / g(fbar(t))) * exp(x * fbar(t)) = sum of s_n(x) t^n / n!
 
-where fbar is the compositional inverse of f.  The exponential is expanded as
-sum of x^k fbar(t)^k / k!, so the whole construction happens over λ-polynomial
-coefficients.
+where fbar is the compositional inverse of f, says that the same matrix is
+the Riordan array of the inverse pair (1/g(fbar), fbar).  The thm14 check's
+inverse facts test exactly that: ``group_inverse`` builds the sequence of
+that pair, whose matrix is the inverse of its Riordan array, and its product
+with s's matrix is the identity only if s's matrix is that array.
 
 Umbral composition of two sequences is the product of their coefficient
 matrices, and the m-fold power of a sequence the m-th power of its matrix:
@@ -24,19 +33,15 @@ with ``sheffer_from_pair`` and comparing its matrix with the matrix product.
 The power pair is m - 1 group-law steps r^i = r^(i-1)∘r: with r's pair
 (h, ℓ) each maps (g, f) to (h·g(ℓ), f(ℓ)), all through one ``substitution``
 of ℓ, which gives (h^m, t) for Appell and (1, ℓ^m) for associated sequences.
-The group inverse's pair (1/g(fbar), fbar) is also the prefactor and delta
-series of (g, f)'s own generating identity (a Sheffer matrix is the
-exponential Riordan array of its inverse pair: Shapiro et al., Discrete Appl.
-Math. 34, 1991); ``_inverse_pair`` computes it for both.
+``_inverse_pair`` computes the group inverse's pair (1/g(fbar), fbar).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iterproduct
 from math import factorial
 
-from .algebra import LambdaPoly, XPoly, falling_products
+from .algebra import LambdaPoly, XPoly, falling_products, lp_dot
 from .scalars import QONE
 from .series import (
     Series,
@@ -72,8 +77,12 @@ class ShefferSeq:
 
 
 def sheffer_from_pair(g: Series, f: Series, order: int) -> ShefferSeq:
-    """Build the sequence for an invertible/delta pair via its generating
-    identity: matrix[n][k] = n!/k! [t^n] (1/g(fbar)) fbar^k."""
+    """Build the sequence for an invertible/delta pair from its defining
+    orthogonality: the matrix is the inverse of R = ``egf_triangle_rows(f,
+    order, g)``, so M[n][n] = 1/R[n][n] and, for k < n,
+    M[n][k] = M[n][n]·Σ_{m=k}^{n-1} (-R[n][m])·M[m][k], one ``lp_dot`` each.
+    That it equals n!/k! [t^n] (1/g(fbar)) fbar^k, the generating identity,
+    is what thm14's inverse facts check."""
     if order < 1:
         raise ValueError("sequence order must be >= 1 (the delta series needs a linear term)")
     if g.order < order or f.order < order:
@@ -90,12 +99,16 @@ def sheffer_from_pair(g: Series, f: Series, order: int) -> ShefferSeq:
         )
     g = g.truncate(order)
     f = f.truncate(order)
-    prefactor, fbar = _inverse_pair(g, f)
-    rows = egf_triangle_rows(fbar, order, prefactor)
-    for n in range(order + 1):
-        if not rows[n][n]:
-            raise RouteMismatchError(f"degenerate pair: zero diagonal entry at n={n}")
-    return ShefferSeq(g, f, order, tuple(tuple(row) for row in rows))
+    riordan = egf_triangle_rows(f, order, g)
+    rows = []
+    for n, r_row in enumerate(riordan):
+        pivot = QONE / r_row[n].constant_value()
+        negated = [-c for c in r_row[:n]]
+        row = [lp_dot(zip(negated[k:], (rows[m][k] for m in range(k, n)))) * pivot
+               for k in range(n)]
+        row.append(LambdaPoly.const(pivot))
+        rows.append(tuple(row))
+    return ShefferSeq(g, f, order, tuple(rows))
 
 
 def _inverse_pair(g: Series, f: Series):
@@ -186,35 +199,23 @@ def power_pair(r: ShefferSeq, m: int):
 
 def umbral_power_explicit_rows(r: ShefferSeq, m: int):
     """The m-fold power matrix as the explicit multi-index sum
-    sum over (ℓ1..ℓ_{m-1}) of r[n][ℓ1] r[ℓ1][ℓ2] ... r[ℓ_{m-1}][k]."""
+    sum over (ℓ1..ℓ_{m-1}) of r[n][ℓ1] r[ℓ1][ℓ2] ... r[ℓ_{m-1}][k], over the
+    chains n ≥ ℓ1 ≥ ... ≥ ℓ_{m-1} ≥ k only: every other index tuple has a
+    factor above the diagonal, which is zero.  Each row keeps its chains'
+    last index with the product of their first m - 1 factors, and each entry
+    is one ``lp_dot``."""
     if m < 1:
         raise ValueError("umbral power needs m >= 1")
+    a = r.matrix
     if m == 1:
-        return r.matrix
-    zero = LambdaPoly.zero()
-    n_max = r.order
+        return a
     rows = []
-
-    def entry(i, j):
-        return r.matrix[i][j] if j <= i else zero
-
-    for n in range(n_max + 1):
-        row = []
-        for k in range(n + 1):
-            acc = zero
-            for mids in _iterproduct(range(n + 1), repeat=m - 1):
-                chain = (n,) + mids + (k,)
-                term = None
-                for a, b in zip(chain, chain[1:]):
-                    e = entry(a, b)
-                    if not e:
-                        term = None
-                        break
-                    term = e if term is None else term * e
-                if term is not None:
-                    acc = acc + term
-            row.append(acc)
-        rows.append(row)
+    for n in range(len(a)):
+        heads = list(enumerate(a[n]))
+        for _ in range(m - 2):
+            heads = [(j, term * a[i][j]) for i, term in heads for j in range(i + 1)]
+        rows.append([lp_dot((term, a[i][k]) for i, term in heads if i >= k)
+                     for k in range(n + 1)])
     return rows
 
 

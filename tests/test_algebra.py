@@ -7,7 +7,6 @@ from degenpoly.algebra import (
     LambdaPoly,
     XPoly,
     deg_falling_factorial,
-    deg_falling_scalar,
     falling_factorial,
     falling_products,
     lambda_shifted_falling,
@@ -33,7 +32,7 @@ FALLING_SHAPES = {
         XPoly.var(), -LambdaPoly.var(), lambda j: xp(lp(0, -j), 1), deg_falling_factorial),
     "deg_falling_scalar": (
         LambdaPoly.const(Q(3, 2)), -LambdaPoly.var(), lambda j: lp(Q(3, 2), -j),
-        lambda n: deg_falling_scalar(Q(3, 2), n)),
+        lambda n: falling_products(LambdaPoly.const(Q(3, 2)), -LambdaPoly.var(), n)[n]),
     "lambda_shifted_falling": (
         lp(-1, 1), -1, lambda j: lp(-j - 1, 1), lambda n: lambda_shifted_falling(n + 1)),
 }
@@ -62,7 +61,6 @@ class TestFallingProducts:
     @pytest.mark.parametrize("call, message", [
         (lambda: falling_factorial(-1), "falling factorial needs n >= 0"),
         (lambda: deg_falling_factorial(-1), "degenerate falling factorial needs n >= 0"),
-        (lambda: deg_falling_scalar(1, -1), "degenerate falling factorial needs n >= 0"),
         (lambda: lambda_shifted_falling(0), "shifted falling factorial needs m >= 1"),
     ])
     def test_helper_guards_are_unchanged(self, call, message):
@@ -106,8 +104,9 @@ class TestDegFallingFactorial:
         assert specialize(deg_falling_factorial(n), 0) == expected
 
     def test_scalar_variant_matches_substitution(self):
+        at_one = falling_products(LambdaPoly.one(), -LambdaPoly.var(), 6)
         for n in range(7):
-            assert deg_falling_scalar(1, n) == deg_falling_factorial(n).eval_x(1)
+            assert at_one[n] == deg_falling_factorial(n).eval_x(1)
 
 
 class TestLambdaShiftedFalling:

@@ -1,12 +1,14 @@
 """Sheffer machinery: pair construction, the composition group, powers."""
 
+from itertools import product
 from math import factorial
 
 import pytest
 
-from degenpoly import series, umbral
+from degenpoly import series, triangles, umbral
 from degenpoly.algebra import LambdaPoly, XPoly, deg_falling_factorial
 from degenpoly.families import gaenari, jindalrae
+from degenpoly.identities import _SEQUENCES
 from degenpoly.series import (
     Series,
     comp_inverse,
@@ -18,6 +20,7 @@ from degenpoly.series import (
 )
 from degenpoly.triangles import (
     convolution_rows,
+    egf_triangle_rows,
     jstirling1,
     jstirling2,
     rows_mismatch,
@@ -43,6 +46,39 @@ from degenpoly.scalars import QONE
 from xseries import deg_exp_x, horner
 
 N = 8
+
+
+def generating_identity_rows(g, f, order):
+    """The Sheffer matrix read from the generating identity: the Riordan
+    array of the inverse pair (1/g(fbar), fbar), fbar the compositional
+    inverse of f."""
+    g, f = g.truncate(order), f.truncate(order)
+    fbar = comp_inverse(f)
+    return egf_triangle_rows(fbar, order, mul_inverse(compose(g, fbar)))
+
+
+def product_loop_rows(r, m):
+    """The m-fold power matrix as the multi-index sum over every index tuple
+    in range(n + 1)^(m - 1), zero factors above the diagonal included."""
+    zero = LambdaPoly.zero()
+
+    def entry(i, j):
+        return r.matrix[i][j] if j <= i else zero
+
+    rows = []
+    for n in range(r.order + 1):
+        row = []
+        for k in range(n + 1):
+            acc = zero
+            for mids in product(range(n + 1), repeat=m - 1):
+                chain = (n,) + mids + (k,)
+                term = LambdaPoly.one()
+                for a, b in zip(chain, chain[1:]):
+                    term = term * entry(a, b)
+                acc = acc + term
+            row.append(acc)
+        rows.append(row)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +130,20 @@ class TestPairConstruction:
         one = Series.one(N)
         with pytest.raises(ValueError, match="delta series"):
             sheffer_from_pair(one, deg_exp(1, N), N)
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_matrix_is_the_generating_identity(self, order):
+        # the workspace sequences, thm14's 16 composed pairs and its power pairs
+        seqs = {name: build(order) for name, build in _SEQUENCES.items()}
+        named = [seqs[name] for name in ("ident", "s1", "s2", "appell")]
+        pairs = [(s.g, s.f) for s in seqs.values()]
+        pairs += [compose_pair(q, p) for q in named for p in named]
+        pairs += [power_pair(r, m) for r in (seqs["s2"], seqs["appell"]) for m in (2, 3)]
+        assert len(pairs) == 25
+        for g, f in pairs:
+            assert rows_mismatch(
+                sheffer_from_pair(g, f, order).matrix, generating_identity_rows(g, f, order)
+            ) is None
 
     def test_rejects_undersized_series(self):
         one = Series.one(3)
@@ -153,6 +203,12 @@ class TestPowers:
             umbral_power_explicit_rows(log_seq, m), umbral_power(log_seq, m)
         ) is None
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["log_seq", "appell_seq"])
+    def test_chain_sum_matches_the_product_loop(self, request, name, m):
+        r = request.getfixturevalue(name)
+        assert rows_mismatch(umbral_power_explicit_rows(r, m), product_loop_rows(r, m)) is None
+
     def test_power_zero_rejected(self, log_seq):
         with pytest.raises(ValueError):
             umbral_power(log_seq, 0)
@@ -208,6 +264,22 @@ class TestPairCost:
         inv = group_inverse(log_seq)
         assert composed == [] and built == []
         assert umbral_compose(log_seq, inv) == identity_sheffer(N).matrix
+
+    def test_pair_construction_inverts_and_composes_nothing(
+            self, monkeypatch, log_seq, exp_seq, appell_seq):
+        pairs = [(s.g, s.f) for s in (log_seq, exp_seq, appell_seq)]
+        pairs.append(compose_pair(appell_seq, log_seq))
+        expected = [generating_identity_rows(g, f, N) for g, f in pairs]
+
+        def refuse(*args):
+            raise AssertionError("the pair construction inverted or composed a series")
+
+        for module in (series, triangles, umbral):
+            for name in ("comp_inverse", "compose", "substitution"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        for (g, f), rows in zip(pairs, expected):
+            assert rows_mismatch(sheffer_from_pair(g, f, N).matrix, rows) is None
 
 class TestFamilyRoutes:
     @pytest.mark.parametrize(
