@@ -8,14 +8,7 @@ floating point appears anywhere.
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    LambdaPoly,
-    XPoly,
-    deg_falling_factorial,
-    falling_factorial,
-    lambda_shifted_falling,
-    specialize,
-)
+from .algebra import LambdaPoly, XPoly, specialize
 from .families import (
     FAMILY_KINDS,
     PolyFamily,
@@ -36,18 +29,14 @@ from .series import (
     deg_exp,
     deg_log,
     mul_inverse,
-    scaled_power,
 )
 from .triangles import (
     RouteMismatchError,
     SLICE_KINDS,
     TRIANGLE_KINDS,
     Triangle,
-    classical_triangles,
-    deg_bernoulli,
     jstirling1,
     jstirling2,
-    korobov,
     stirling1_deg,
     stirling2_deg,
     t_numbers,

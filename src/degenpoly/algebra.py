@@ -25,8 +25,7 @@ one ``lp_dot`` per power of x.
 
 The falling products Π_{j<n}(first + j·step) -- (x)_n, the deformed
 (x)_{n,λ}, (c)_{n,λ} and (λ-1)...(λ-n+1) -- come from one running product,
-``falling_products``, which returns every member n = 0..N from N multiplies;
-the four named helpers read one member of it.
+``falling_products``, which returns every member n = 0..N from N multiplies.
 
 ``XPoly`` stores a tuple of ``LambdaPoly`` values with trailing zeros trimmed.
 Both are dense in ascending power order: degrees stay small (bounded by the
@@ -147,9 +146,6 @@ class LambdaPoly:
     def degree(self) -> int:
         """Degree in λ; the zero polynomial has degree -1."""
         return len(self._n) - 1
-
-    def is_zero(self) -> bool:
-        return not self._n
 
     def constant_value(self):
         """The scalar value if constant, else None."""
@@ -341,9 +337,6 @@ class XPoly:
         """Degree in x; the zero polynomial has degree -1."""
         return len(self._c) - 1
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def constant_value(self) -> "LambdaPoly | None":
         """The LambdaPoly value if constant in x, else None."""
         if not self._c:
@@ -486,27 +479,6 @@ def falling_products(first, step, count: int) -> list:
     for j in range(count):
         out.append(out[-1] * (first + step * j))
     return out
-
-
-def falling_factorial(n: int) -> XPoly:
-    """x(x-1)(x-2)...(x-n+1); the empty product (n = 0) is 1."""
-    if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
-    return falling_products(_XP_VAR, -1, n)[n]
-
-
-def deg_falling_factorial(n: int) -> XPoly:
-    """x(x-λ)(x-2λ)...(x-(n-1)λ); reduces to x^n at λ = 0."""
-    if n < 0:
-        raise ValueError("degenerate falling factorial needs n >= 0")
-    return falling_products(_XP_VAR, -_LP_VAR, n)[n]
-
-
-def lambda_shifted_falling(m: int) -> LambdaPoly:
-    """(λ-1)(λ-2)...(λ-m+1); monic of degree m-1, with 1 for m = 1."""
-    if m < 1:
-        raise ValueError("shifted falling factorial needs m >= 1")
-    return falling_products(_LP_VAR - 1, -1, m - 1)[m - 1]
 
 
 def specialize(poly, lambda_value, x_value=None):

@@ -45,8 +45,6 @@ matrix up to n!/k! (Shapiro et al., Discrete Appl. Math. 34, 1991).
 
 from __future__ import annotations
 
-from math import factorial
-
 from .algebra import LambdaPoly, lp_conv, lp_dot, xp_dot
 from .scalars import QONE, is_scalar, scalar_inv
 
@@ -290,16 +288,6 @@ def mul_inverse(f: Series) -> Series:
     for n in range(1, f.order + 1):
         out.append(-lp_conv(tail, out, n - 1) * inv)
     return Series(out)
-
-
-def scaled_power(f: Series, k: int) -> Series:
-    """f^k / k! with exact rational division of every coefficient."""
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    if k == 0:
-        return Series.one(f.order)
-    *_, power = powers(f, f, k - 1)
-    return power.scale(QONE / factorial(k))
 
 
 def powers(start: Series, f: Series, count: int):

@@ -14,10 +14,13 @@ delta series come from one recurrence, ``series.deg_exp_coeffs``, and are
 built once per workspace and shared with the family routes):
 
 * second-kind degenerate ("s2deg"): EGF extraction from powers of e_λ(t)-1
-  versus the triangular change of basis expressing x(x-λ)...(x-(n-1)λ) in the
-  plain falling-factorial basis.
+  versus the row recurrence of the change of basis expressing
+  x(x-λ)...(x-(n-1)λ) in the plain falling-factorial basis,
+  S2_λ(n+1, k) = S2_λ(n, k-1) + (k - nλ)·S2_λ(n, k) (Carlitz, Utilitas
+  Math. 15, 1979).
 * first-kind degenerate ("s1deg"): powers of the deformed logarithm versus
-  the change of basis expressing (x)_n in the deformed falling basis.
+  the same recurrence for (x)_n in the deformed falling basis,
+  S1_λ(n+1, k) = S1_λ(n, k-1) + (kλ - n)·S1_λ(n, k).
 * iterated kinds ("j2deg"/"j1deg"): powers of the doubled map versus the
   self-convolution of the single-level triangle.
 * classical ("s2"/"s1"): λ=0 specialisation versus brute-force oracles.
@@ -31,7 +34,7 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .algebra import LambdaPoly, XPoly, falling_products, lp_dot, xp_dot
+from .algebra import LambdaPoly, XPoly, lp_dot, xp_dot
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q
 # compose is not called here: perfbench/test_perfbench.py reads triangles.compose.
@@ -132,26 +135,20 @@ def egf_triangle_rows(f: Series, order: int, prefactor: Series | None = None):
     return rows
 
 
-def basis_change_rows(targets, basis):
-    """Expand targets[n] in the given monic triangular basis.
+def basis_change_rows(order: int, target_step, basis_step):
+    """rows[n][k] = the coefficient of B_k = Π_{j<k}(x + j·b) in
+    T_n = Π_{j<n}(x + j·a) for n <= order, with a = target_step and
+    b = basis_step.
 
-    rows[n][k] is the coefficient of basis[k] in targets[n]; peeled from the
-    top degree down, which is exact because basis[k] is monic of degree k.
+    B_k·(x + n·a) = B_{k+1} + (n·a - k·b)·B_k, so T_{n+1} = T_n·(x + n·a)
+    gives rows[n+1][k] = rows[n][k-1] + (n·a - k·b)·rows[n][k].
     """
-    rows = []
-    for n, target in enumerate(targets):
-        residual = target
-        row = [LambdaPoly.zero()] * (n + 1)
-        for k in range(n, -1, -1):
-            c = residual.coeff(k)
-            if c:
-                row[k] = c
-                residual = residual - basis[k] * c
-        if not residual.is_zero():
-            raise RouteMismatchError(
-                f"basis change left a nonzero residual for index {n}: {residual}"
-            )
-        rows.append(row)
+    zero = LambdaPoly.zero()
+    rows = [[LambdaPoly.one()]]
+    for n in range(order):
+        prev = [zero, *rows[-1], zero]
+        rows.append([prev[k] + (target_step * n - basis_step * k) * prev[k + 1]
+                     for k in range(n + 2)])
     return rows
 
 
@@ -220,10 +217,9 @@ def t_multinomial_rows(order: int):
 def _series_vs_basis(ws, delta: Series, target_step, basis_step):
     """Powers of a delta series versus the change of basis expressing the
     falling products x(x+s)...(x+(n-1)s) of step s = target_step in the
-    monic basis of those of step basis_step."""
-    order, x = ws.order, XPoly.var()
-    return egf_triangle_rows(delta, order), basis_change_rows(
-        falling_products(x, target_step, order), falling_products(x, basis_step, order))
+    basis of those of step basis_step, row by row."""
+    return (egf_triangle_rows(delta, ws.order),
+            basis_change_rows(ws.order, target_step, basis_step))
 
 
 def _series_vs_convolution(ws, doubled: Series, single: str):
@@ -344,25 +340,9 @@ def jstirling1(order: int) -> Triangle:
     return build_triangle("j1deg", order)
 
 
-def classical_triangles(order: int):
-    """Classical second-kind and signed first-kind triangles, as (s2, s1)."""
-    ws = Workspace(order)
-    return ws.tri("s2"), ws.tri("s1")
-
-
 def t_numbers(order: int) -> Triangle:
     """Doubly-composed classical second-kind triangle."""
     return build_triangle("t", order)
-
-
-def korobov(order: int, r: int):
-    """Constant terms of (t / log_λ(1+t))^r: one λ-polynomial per n <= order."""
-    return korobov_table(order, r)[r]
-
-
-def deg_bernoulli(order: int, r: int):
-    """Constant terms of (t / (e_λ(t)-1))^r: one λ-polynomial per n <= order."""
-    return deg_bernoulli_table(order, r)[r]
 
 
 def _power_slices(base: Series, order: int, max_r: int):

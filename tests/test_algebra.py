@@ -3,15 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degenpoly.algebra import (
-    LambdaPoly,
-    XPoly,
-    deg_falling_factorial,
-    falling_factorial,
-    falling_products,
-    lambda_shifted_falling,
-    specialize,
-)
+from degenpoly.algebra import LambdaPoly, XPoly, falling_products, specialize
 from degenpoly.scalars import Q, as_scalar
 
 
@@ -23,34 +15,31 @@ def xp(*coeffs):
     return XPoly(coeffs)
 
 
-# (first, step, the j-th factor the helper's former loop multiplied in, the
-# helper read as a function of n)
+X = XPoly.var()
+LAM = LambdaPoly.var()
+
+
+# (first, step, the j-th factor of the product)
 FALLING_SHAPES = {
-    "falling_factorial": (
-        XPoly.var(), -1, lambda j: xp(-j, 1), falling_factorial),
-    "deg_falling_factorial": (
-        XPoly.var(), -LambdaPoly.var(), lambda j: xp(lp(0, -j), 1), deg_falling_factorial),
-    "deg_falling_scalar": (
-        LambdaPoly.const(Q(3, 2)), -LambdaPoly.var(), lambda j: lp(Q(3, 2), -j),
-        lambda n: falling_products(LambdaPoly.const(Q(3, 2)), -LambdaPoly.var(), n)[n]),
-    "lambda_shifted_falling": (
-        lp(-1, 1), -1, lambda j: lp(-j - 1, 1), lambda n: lambda_shifted_falling(n + 1)),
+    "falling_factorial": (X, -1, lambda j: xp(-j, 1)),
+    "deg_falling_factorial": (X, -LAM, lambda j: xp(lp(0, -j), 1)),
+    "deg_falling_scalar": (LambdaPoly.const(Q(3, 2)), -LAM, lambda j: lp(Q(3, 2), -j)),
+    "lambda_shifted_falling": (lp(-1, 1), -1, lambda j: lp(-j - 1, 1)),
 }
 
 
 class TestFallingProducts:
     @pytest.mark.parametrize("shape", FALLING_SHAPES)
     def test_matches_the_per_n_loops(self, shape):
-        first, step, factor, helper = FALLING_SHAPES[shape]
+        first, step, factor = FALLING_SHAPES[shape]
         products = falling_products(first, step, 12)
         assert len(products) == 13
         for n, p in enumerate(products):
-            # the former loop: member n rebuilt from 1, one factor at a time
+            # member n rebuilt from 1, one factor at a time
             expected = type(first).one()
             for j in range(n):
                 expected = expected * factor(j)
             assert p == expected
-            assert helper(n) == expected
 
     @pytest.mark.parametrize("first", [XPoly.var(), LambdaPoly.var()])
     def test_count_zero_is_the_empty_product(self, first):
@@ -58,77 +47,60 @@ class TestFallingProducts:
         assert products == [1]
         assert type(products[0]) is type(first)
 
-    @pytest.mark.parametrize("call, message", [
-        (lambda: falling_factorial(-1), "falling factorial needs n >= 0"),
-        (lambda: deg_falling_factorial(-1), "degenerate falling factorial needs n >= 0"),
-        (lambda: lambda_shifted_falling(0), "shifted falling factorial needs m >= 1"),
-    ])
-    def test_helper_guards_are_unchanged(self, call, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            call()
-
 
 class TestFallingFactorial:
     def test_empty_product(self):
-        assert falling_factorial(0) == XPoly.one()
+        assert falling_products(X, -1, 0)[0] == XPoly.one()
 
     def test_single_factor(self):
-        assert falling_factorial(1) == XPoly.var()
+        assert falling_products(X, -1, 1)[1] == XPoly.var()
 
     def test_n3_expansion(self):
         # x(x-1)(x-2) expanded by hand: x^3 - 3x^2 + 2x
-        assert falling_factorial(3) == xp(0, 2, -3, 1)
+        assert falling_products(X, -1, 3)[3] == xp(0, 2, -3, 1)
 
     def test_n4_expansion(self):
-        assert falling_factorial(4) == xp(0, -6, 11, -6, 1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            falling_factorial(-1)
+        assert falling_products(X, -1, 4)[4] == xp(0, -6, 11, -6, 1)
 
 
 class TestDegFallingFactorial:
     def test_empty_product(self):
-        assert deg_falling_factorial(0) == XPoly.one()
+        assert falling_products(X, -LAM, 0)[0] == XPoly.one()
 
     def test_n2(self):
         # x(x-λ) = x^2 - λx
-        assert deg_falling_factorial(2) == xp(0, lp(0, -1), 1)
+        assert falling_products(X, -LAM, 2)[2] == xp(0, lp(0, -1), 1)
 
     def test_n2_at_x1(self):
-        assert deg_falling_factorial(2).eval_x(1) == lp(1, -1)
+        assert falling_products(X, -LAM, 2)[2].eval_x(1) == lp(1, -1)
 
     @pytest.mark.parametrize("n", range(13))
     def test_lambda_zero_gives_monomial(self, n):
         expected = LambdaPoly([0] * n + [1])
-        assert specialize(deg_falling_factorial(n), 0) == expected
+        assert specialize(falling_products(X, -LAM, n)[n], 0) == expected
 
     def test_scalar_variant_matches_substitution(self):
-        at_one = falling_products(LambdaPoly.one(), -LambdaPoly.var(), 6)
+        at_one = falling_products(LambdaPoly.one(), -LAM, 6)
         for n in range(7):
-            assert at_one[n] == deg_falling_factorial(n).eval_x(1)
+            assert at_one[n] == falling_products(X, -LAM, n)[n].eval_x(1)
 
 
 class TestLambdaShiftedFalling:
     def test_m1_empty_product(self):
-        assert lambda_shifted_falling(1) == LambdaPoly.one()
+        assert falling_products(LAM - 1, -1, 0)[0] == LambdaPoly.one()
 
     def test_m2(self):
-        assert lambda_shifted_falling(2) == lp(-1, 1)
+        assert falling_products(LAM - 1, -1, 1)[1] == lp(-1, 1)
 
     def test_m3(self):
         # (λ-1)(λ-2) = λ^2 - 3λ + 2
-        assert lambda_shifted_falling(3) == lp(2, -3, 1)
+        assert falling_products(LAM - 1, -1, 2)[2] == lp(2, -3, 1)
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_degree_and_leading_coefficient(self, m):
-        p = lambda_shifted_falling(m)
+        p = falling_products(LAM - 1, -1, m - 1)[m - 1]
         assert p.degree == m - 1
         assert p.coeff(m - 1) == 1
-
-    def test_m0_rejected(self):
-        with pytest.raises(ValueError):
-            lambda_shifted_falling(0)
 
 
 class TestSpecialize:
@@ -148,7 +120,7 @@ class TestSpecialize:
         assert specialize(p, Q(1, 2)) == lp(0, 0, 1)
 
     def test_rational_point(self):
-        p = deg_falling_factorial(2)
+        p = falling_products(X, -LAM, 2)[2]
         assert specialize(p, Q(1, 3), Q(1, 2)) == Q(1, 2) * (Q(1, 2) - Q(1, 3))
 
     def test_x_value_rejected_for_lambda_poly(self):

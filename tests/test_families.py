@@ -2,14 +2,7 @@
 
 import pytest
 
-from degenpoly.algebra import (
-    LambdaPoly,
-    XPoly,
-    deg_falling_factorial,
-    falling_factorial,
-    lambda_shifted_falling,
-    specialize,
-)
+from degenpoly.algebra import LambdaPoly, XPoly, falling_products, specialize
 from degenpoly.families import (
     bell_number_classical,
     build_family,
@@ -112,16 +105,18 @@ class TestGaenari:
         assert gaen.poly(2) == xp(0, lp(-2, 1), 1)
 
     def test_numbers_are_shifted_falling(self, gaen):
+        shifted = falling_products(LambdaPoly.var() - 1, -1, N)
         for n in range(1, N + 1):
-            assert gaen.poly(n).eval_x(1) == lambda_shifted_falling(n)
+            assert gaen.poly(n).eval_x(1) == shifted[n - 1]
 
     def test_thm12_instance(self, gaen):
         s2 = stirling2_deg(N)
+        falling = falling_products(XPoly.var(), -1, N)
         for n in range(N + 1):
             acc = XPoly.zero()
             for m in range(n + 1):
                 acc = acc + gaen.poly(m) * s2.entry(n, m)
-            assert acc == falling_factorial(n)
+            assert acc == falling[n]
 
     def test_shifted_log_binomial_expansion_generates_the_family(self, gaen):
         # (1 + log_λ(1+t))^x expanded as sum of (x)_l log_λ(1+t)^l / l!
@@ -131,7 +126,8 @@ class TestGaenari:
         from degenpoly.series import deg_log
         from xseries import horner
 
-        binomial = [falling_factorial(l) * (QONE / factorial(l)) for l in range(N + 1)]
+        binomial = [p * (QONE / factorial(l))
+                    for l, p in enumerate(falling_products(XPoly.var(), -1, N))]
         acc = horner(binomial, deg_log(N))
         for n in range(N + 1):
             assert acc[n] * factorial(n) == gaen.poly(n)
@@ -159,11 +155,12 @@ class TestStructure:
 
         j1 = jstirling1(N)
         j2 = jstirling2(N)
+        falling = falling_products(XPoly.var(), -LambdaPoly.var(), N)
         for n in range(N + 1):
             left = XPoly.zero()
             right = XPoly.zero()
             for m in range(n + 1):
                 left = left + gaen.poly(m) * j2.entry(n, m)
                 right = right + jind.poly(m) * j1.entry(n, m)
-            assert left == deg_falling_factorial(n)
-            assert right == deg_falling_factorial(n)
+            assert left == falling[n]
+            assert right == falling[n]

@@ -28,13 +28,11 @@ PACKAGE_NAMES = [
     "CheckResult", "FAMILY_KINDS", "LambdaPoly", "PolyFamily", "RouteMismatchError",
     "SLICE_KINDS", "Series", "ShefferSeq", "SuiteConfig", "TRIANGLE_KINDS", "Triangle",
     "UnknownIdentityError", "XPoly", "algebra", "bell_number_classical", "build_family",
-    "classical_exp", "classical_triangles", "comp_inverse", "compose",
-    "compositional_power", "deg_bell", "deg_bernoulli", "deg_exp",
-    "deg_falling_factorial", "deg_log", "describe_identities", "falling_factorial",
-    "falling_factorial_sequence", "families", "gaenari", "group_inverse", "identities",
-    "identity_ids", "identity_sheffer", "jindalrae", "jstirling1", "jstirling2", "korobov",
-    "lambda_shifted_falling", "mul_inverse", "newtype_bell", "oracles",
-    "partition_oracle", "run_suite", "scalars", "scaled_power", "series",
+    "classical_exp", "comp_inverse", "compose", "compositional_power", "deg_bell",
+    "deg_exp", "deg_log", "describe_identities", "falling_factorial_sequence",
+    "families", "gaenari", "group_inverse", "identities", "identity_ids",
+    "identity_sheffer", "jindalrae", "jstirling1", "jstirling2", "mul_inverse",
+    "newtype_bell", "oracles", "partition_oracle", "run_suite", "scalars", "series",
     "sheffer_from_pair", "signed_cycle_oracle", "specialize", "stirling1_deg",
     "stirling1_sequence", "stirling2_deg", "stirling2_sequence", "t_numbers",
     "triangles", "umbral", "umbral_compose", "umbral_power",

@@ -19,7 +19,6 @@ from degenpoly.series import (
     _over_lambda,
     mul_inverse,
     powers,
-    scaled_power,
     substitution,
 )
 from xseries import deg_exp_x, horner
@@ -174,16 +173,19 @@ class TestMulInverse:
 
 
 class TestScaledPower:
+    # n!/k! [t^n] f^k, read from the running power
     def test_k_zero(self):
-        assert scaled_power(deg_log(4), 0) == Series.one(4)
+        assert list(powers(Series.one(4), deg_log(4), 0)) == [Series.one(4)]
 
     def test_second_kind_instance(self):
-        s = scaled_power(deg_exp(1, 3) - 1, 2)
-        assert s.coeff(3) * factorial(3) == lp(3, -3)
+        f = deg_exp(1, 3) - 1
+        *_, s = powers(f, f, 1)
+        assert s.coeff(3) * Q(factorial(3), factorial(2)) == lp(3, -3)
 
     def test_first_kind_instance(self):
-        s = scaled_power(deg_log(3), 2)
-        assert s.coeff(3) * factorial(3) == lp(-3, 3)
+        f = deg_log(3)
+        *_, s = powers(f, f, 1)
+        assert s.coeff(3) * Q(factorial(3), factorial(2)) == lp(-3, 3)
 
 
 class TestSeriesBasics:

@@ -2,27 +2,65 @@
 
 import pytest
 
-from degenpoly.algebra import LambdaPoly, falling_products, lambda_shifted_falling
+from degenpoly.algebra import LambdaPoly, XPoly, falling_products
 from degenpoly.oracles import partition_oracle, signed_cycle_oracle
 from degenpoly.scalars import Q
 from degenpoly.triangles import (
     Triangle,
-    classical_triangles,
+    basis_change_rows,
+    build_triangle,
     convolution_rows,
-    deg_bernoulli,
+    deg_bernoulli_table,
     jstirling1,
     jstirling2,
-    korobov,
+    korobov_table,
     stirling1_deg,
     stirling2_deg,
     t_numbers,
 )
 
 N = 8
+LAM = LambdaPoly.var()
 
 
 def lp(*coeffs):
     return LambdaPoly(coeffs)
+
+
+def peel_rows(targets, basis):
+    """Expand targets[n] in a monic triangular basis: rows[n][k] is the
+    coefficient of basis[k], peeled from the top degree down, which is exact
+    because basis[k] is monic of degree k."""
+    rows = []
+    for n, target in enumerate(targets):
+        residual = target
+        row = [LambdaPoly.zero()] * (n + 1)
+        for k in range(n, -1, -1):
+            c = residual.coeff(k)
+            if c:
+                row[k] = c
+                residual = residual - basis[k] * c
+        assert not residual, f"nonzero residual for index {n}: {residual}"
+        rows.append(row)
+    return rows
+
+
+# (target step, basis step): the two kinds' pairs, and two that name no kind
+STEP_PAIRS = {
+    "s1deg": (-1, -LAM),
+    "s2deg": (-LAM, -1),
+    "2,-1": (2, -1),
+    "lambda,1/2": (LAM, Q(1, 2)),
+}
+
+
+@pytest.mark.parametrize("pair", STEP_PAIRS)
+def test_basis_change_recurrence_matches_the_peel(pair):
+    target_step, basis_step = STEP_PAIRS[pair]
+    x = XPoly.var()
+    for order in range(13):
+        assert basis_change_rows(order, target_step, basis_step) == peel_rows(
+            falling_products(x, target_step, order), falling_products(x, basis_step, order))
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +114,9 @@ class TestFirstKind:
         assert s1.entry(3, 2).eval(0) == -3
 
     def test_column_one_is_shifted_falling(self, s1):
+        shifted = falling_products(LAM - 1, -1, N)
         for n in range(1, N + 1):
-            assert s1.entry(n, 1) == lambda_shifted_falling(n)
+            assert s1.entry(n, 1) == shifted[n - 1]
 
     def test_lambda_one_degenerates_to_identity(self, s1):
         for n in range(N + 1):
@@ -109,14 +148,14 @@ class TestIteratedKinds:
 
 class TestClassical:
     def test_values(self):
-        s2c, s1c = classical_triangles(6)
+        s2c, s1c = build_triangle("s2", 6), build_triangle("s1", 6)
         assert s2c.entry(3, 2) == 3
         assert s2c.entry(n := 5, 1) == 1 and n == 5
         assert s1c.entry(3, 2) == -3
         assert s1c.entry(4, 1) == -6
 
     def test_matches_oracles(self):
-        s2c, s1c = classical_triangles(7)
+        s2c, s1c = build_triangle("s2", 7), build_triangle("s1", 7)
         for n in range(8):
             for k in range(n + 1):
                 assert s2c.entry(n, k) == partition_oracle(n, k)
@@ -141,20 +180,18 @@ class TestTNumbers:
 class TestSlices:
     def test_korobov_constant_term(self):
         for r in (1, 2, 5):
-            assert korobov(3, r)[0] == LambdaPoly.one()
+            assert korobov_table(3, r)[r][0] == LambdaPoly.one()
 
     def test_korobov_first_order_two(self):
-        assert korobov(3, 2)[1] == lp(1, -1)
+        assert korobov_table(3, 2)[2][1] == lp(1, -1)
 
     def test_bernoulli_first_order_two(self):
-        assert deg_bernoulli(3, 2)[1] == lp(-1, 1)
+        assert deg_bernoulli_table(3, 2)[2][1] == lp(-1, 1)
 
     def test_korobov_identity_with_second_kind(self):
         from math import comb
 
         s2 = stirling2_deg(6)
-        from degenpoly.triangles import korobov_table
-
         table = korobov_table(6, 6)
         for n in range(1, 7):
             for k in range(1, n + 1):
@@ -164,8 +201,6 @@ class TestSlices:
         from math import comb
 
         s1 = stirling1_deg(6)
-        from degenpoly.triangles import deg_bernoulli_table
-
         table = deg_bernoulli_table(6, 6)
         for n in range(1, 7):
             for k in range(1, n + 1):
@@ -173,7 +208,7 @@ class TestSlices:
 
     def test_r_zero_rejected(self):
         with pytest.raises(ValueError):
-            korobov(3, 0)
+            korobov_table(3, 0)
 
 
 class TestIndependentSpecializations:
@@ -203,7 +238,7 @@ class TestIndependentSpecializations:
     def test_first_order_slice_at_lambda_zero_is_falling_integral(self):
         # n! [t^n] t/log(1+t) equals the integral over [0,1] of x(x-1)...(x-n+1),
         # computed from the independent expansion oracle
-        values = korobov(6, 1)
+        values = korobov_table(6, 1)[1]
         for n in range(7):
             integral = sum(
                 Q(signed_cycle_oracle(n, k), k + 1) for k in range(n + 1)
@@ -219,7 +254,7 @@ class TestIndependentSpecializations:
         for n in range(1, 7):
             acc = sum(comb(n + 1, k) * classical[k] for k in range(n))
             classical.append(Q(-acc, n + 1))
-        values = deg_bernoulli(6, 1)
+        values = deg_bernoulli_table(6, 1)[1]
         for n in range(7):
             assert values[n].eval(0) == classical[n]
 
@@ -227,7 +262,7 @@ class TestIndependentSpecializations:
         # at λ = 1/2: t/((1+t/2)^2 - 1) = 1/(1 + t/4), a geometric series
         from math import factorial
 
-        values = deg_bernoulli(6, 1)
+        values = deg_bernoulli_table(6, 1)[1]
         for n in range(7):
             assert values[n].eval(Q(1, 2)) == factorial(n) * Q(-1, 4) ** n
 

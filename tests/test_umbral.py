@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from degenpoly import series, triangles, umbral
-from degenpoly.algebra import LambdaPoly, XPoly, deg_falling_factorial
+from degenpoly.algebra import LambdaPoly, XPoly, falling_products
 from degenpoly.families import gaenari, jindalrae
 from degenpoly.identities import _SEQUENCES
 from degenpoly.series import (
@@ -119,8 +119,9 @@ class TestPairConstruction:
         assert rows_mismatch(exp_seq.matrix, stirling1_deg(N).rows) is None
 
     def test_falling_sequence_polys(self, fall_seq):
+        falling = falling_products(XPoly.var(), -LambdaPoly.var(), N)
         for n in range(N + 1):
-            assert fall_seq.poly(n) == deg_falling_factorial(n)
+            assert fall_seq.poly(n) == falling[n]
 
     def test_rejects_non_invertible_g(self):
         with pytest.raises(ValueError, match="not invertible"):

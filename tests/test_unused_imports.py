@@ -9,7 +9,8 @@ tracing test reads it there.
 
 Every module-level private function or class (one whose name starts with a
 single underscore) is referenced somewhere in the package, as a bare name or
-as an attribute: dead private code fails here.
+as an attribute: dead private code fails here.  So is every public method of
+a package class (dunders aside): a method that only tests call fails too.
 """
 
 import ast
@@ -92,11 +93,17 @@ def _referenced(tree):
                           if isinstance(node, ast.Attribute)}
 
 
-def unreferenced_private_definitions(paths):
+def _unreferenced(paths, definitions):
+    """(module, *definition) for each definition, ending (name, line), whose
+    name no module in paths references."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
     used = set().union(*map(_referenced, trees.values()))
-    return [(path.stem, name, line) for path, tree in trees.items()
-            for name, line in _private_definitions(tree) if name not in used]
+    return [(path.stem, *found) for path, tree in trees.items()
+            for found in definitions(tree) if found[-2] not in used]
+
+
+def unreferenced_private_definitions(paths):
+    return _unreferenced(paths, _private_definitions)
 
 
 def test_no_unreferenced_private_definitions():
@@ -117,3 +124,38 @@ def test_check_sees_an_unreferenced_private_definition(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced_private_definitions([module]) == [("sample", "_dead", 3)]
+
+
+def _public_methods(tree):
+    """(class, method, line) of every public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item.name, item.lineno
+
+
+def unreferenced_public_methods(paths):
+    return _unreferenced(paths, _public_methods)
+
+
+def test_no_unreferenced_public_method():
+    assert unreferenced_public_methods(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_check_sees_an_unreferenced_public_method(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "class Poly:\n"
+        "    def __bool__(self):\n"
+        "        return self.used()\n"
+        "    def used(self):\n"
+        "        return True\n"
+        "    def dead(self):\n"
+        "        return False\n"
+        "    def aliased(self):\n"
+        "        return None\n"
+        "    other_name = aliased\n",
+        encoding="utf-8",
+    )
+    assert unreferenced_public_methods([module]) == [("sample", "Poly", "dead", 6)]

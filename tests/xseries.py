@@ -10,7 +10,7 @@ worked before it read the inner series' power table.
 
 from math import factorial
 
-from degenpoly.algebra import deg_falling_factorial
+from degenpoly.algebra import LambdaPoly, XPoly, falling_products
 from degenpoly.scalars import QONE
 
 
@@ -32,4 +32,5 @@ def horner(outer, inner):
 
 def deg_exp_x(order):
     """e_λ^x(t) = Σ (x)_{n,λ} t^n/n!, from the deformed falling factorials."""
-    return [deg_falling_factorial(n) * (QONE / factorial(n)) for n in range(order + 1)]
+    falling = falling_products(XPoly.var(), -LambdaPoly.var(), order)
+    return [p * (QONE / factorial(n)) for n, p in enumerate(falling)]
