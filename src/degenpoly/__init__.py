@@ -14,10 +14,6 @@ from .families import (
     PolyFamily,
     bell_number_classical,
     build_family,
-    deg_bell,
-    gaenari,
-    jindalrae,
-    newtype_bell,
 )
 from .oracles import partition_oracle, signed_cycle_oracle
 from .series import (
@@ -35,11 +31,7 @@ from .triangles import (
     SLICE_KINDS,
     TRIANGLE_KINDS,
     Triangle,
-    jstirling1,
-    jstirling2,
-    stirling1_deg,
-    stirling2_deg,
-    t_numbers,
+    build_triangle,
 )
 
 # The identity suite and the umbral layer load on first use (PEP 562), so a
@@ -56,13 +48,10 @@ _LAZY = {
         "run_suite",
     ),
     "umbral": (
+        "SEQUENCES",
         "ShefferSeq",
-        "falling_factorial_sequence",
         "group_inverse",
-        "identity_sheffer",
         "sheffer_from_pair",
-        "stirling1_sequence",
-        "stirling2_sequence",
         "umbral_compose",
         "umbral_power",
     ),

@@ -127,34 +127,10 @@ def build_family(kind: str, order: int) -> PolyFamily:
     return Workspace(order).family(kind)
 
 
-def deg_bell(order: int) -> PolyFamily:
-    """Deformed Bell polynomials."""
-    return build_family("degbell", order)
-
-
-def newtype_bell(order: int) -> PolyFamily:
-    """New-type deformed Bell polynomials (classical second-kind weights)."""
-    return build_family("newbell", order)
-
-
-def jindalrae(order: int) -> PolyFamily:
-    """Jindalrae polynomials (iterated second-kind weights)."""
-    return build_family("jindalrae", order)
-
-
-def gaenari(order: int) -> PolyFamily:
-    """Gaenari polynomials (iterated first-kind weights)."""
-    return build_family("gaenari", order)
-
-
 __all__ = [
     "FAMILIES",
     "FAMILY_KINDS",
     "PolyFamily",
     "bell_number_classical",
     "build_family",
-    "deg_bell",
-    "gaenari",
-    "jindalrae",
-    "newtype_bell",
 ]

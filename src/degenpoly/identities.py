@@ -47,7 +47,6 @@ from math import comb, factorial
 from .algebra import LambdaPoly, XPoly, falling_products, specialize
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q, as_scalar, scalar_str
-from .series import Series, deg_exp, mul_inverse
 from .triangles import SLICES, convolution_rows, row_sums, rows_mismatch
 from . import families as _families
 from . import umbral as _umbral
@@ -97,22 +96,6 @@ class _Identity:
     stretch: bool = False   # off by default, opt-in
 
 
-def _appell_sequence(order: int):
-    base = deg_exp(1, order + 1) - 1
-    g = mul_inverse(base.shift_down())
-    return _umbral.sheffer_from_pair(g, Series.identity(order), order)
-
-
-# Sheffer sequences by name: order -> ShefferSeq
-_SEQUENCES = {
-    "ident": _umbral.identity_sheffer,
-    "s2": _umbral.stirling2_sequence,
-    "s1": _umbral.stirling1_sequence,
-    "fall": _umbral.falling_factorial_sequence,
-    "appell": _appell_sequence,
-}
-
-
 class _Workspace(_families.Workspace):
     """The shared artifacts of one suite run: the triangles and families of
     the engine's workspace at the suite order, plus what only the checks use."""
@@ -126,7 +109,7 @@ class _Workspace(_families.Workspace):
 
     def seq(self, name: str, order: int):
         """A Sheffer sequence (order-capped checks request smaller orders)."""
-        return self._get(("seq", name, order), lambda: _SEQUENCES[name](order))
+        return self._get(("seq", name, order), lambda: _umbral.SEQUENCES[name](order))
 
     def slice_table(self, kind: str, order: int):
         """Slices r = 0..order of a number-slice kind."""

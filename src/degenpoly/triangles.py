@@ -320,31 +320,6 @@ def build_triangle(kind: str, order: int) -> Triangle:
     return Workspace(order).tri(kind)
 
 
-def stirling2_deg(order: int) -> Triangle:
-    """Degenerate second-kind triangle."""
-    return build_triangle("s2deg", order)
-
-
-def stirling1_deg(order: int) -> Triangle:
-    """Degenerate (signed) first-kind triangle."""
-    return build_triangle("s1deg", order)
-
-
-def jstirling2(order: int) -> Triangle:
-    """Iterated degenerate second-kind triangle."""
-    return build_triangle("j2deg", order)
-
-
-def jstirling1(order: int) -> Triangle:
-    """Iterated degenerate first-kind triangle."""
-    return build_triangle("j1deg", order)
-
-
-def t_numbers(order: int) -> Triangle:
-    """Doubly-composed classical second-kind triangle."""
-    return build_triangle("t", order)
-
-
 def _power_slices(base: Series, order: int, max_r: int):
     """table[r][n] = n! [t^n] base^r for r = 0..max_r (table[0] is 1, 0, ...)."""
     if max_r < 1:

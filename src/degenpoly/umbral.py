@@ -33,7 +33,7 @@ with ``sheffer_from_pair`` and comparing its matrix with the matrix product.
 The power pair is m - 1 group-law steps r^i = r^(i-1)∘r: with r's pair
 (h, ℓ) each maps (g, f) to (h·g(ℓ), f(ℓ)), all through one ``substitution``
 of ℓ, which gives (h^m, t) for Appell and (1, ℓ^m) for associated sequences.
-``_inverse_pair`` computes the group inverse's pair (1/g(fbar), fbar).
+``group_inverse`` builds the sequence of the inverse pair (1/g(fbar), fbar).
 """
 
 from __future__ import annotations
@@ -111,32 +111,7 @@ def sheffer_from_pair(g: Series, f: Series, order: int) -> ShefferSeq:
     return ShefferSeq(g, f, order, tuple(rows))
 
 
-def _inverse_pair(g: Series, f: Series):
-    """The pair (1/g(fbar), fbar), fbar the compositional inverse of f; for
-    g = 1 the first member is 1 and nothing is composed."""
-    fbar = comp_inverse(f)
-    one = Series.one(g.order)
-    return (one if g == one else mul_inverse(compose(g, fbar))), fbar
-
-
-def identity_sheffer(order: int) -> ShefferSeq:
-    """The group identity: s_n(x) = x^n, pair (1, t)."""
-    return sheffer_from_pair(Series.one(order), Series.identity(order), order)
-
-
-def stirling2_sequence(order: int) -> ShefferSeq:
-    """Associated sequence of the deformed logarithm; its matrix is the
-    degenerate second-kind triangle."""
-    return sheffer_from_pair(Series.one(order), deg_log(order), order)
-
-
-def stirling1_sequence(order: int) -> ShefferSeq:
-    """Associated sequence of the deformed exponential minus one; its matrix
-    is the degenerate first-kind triangle."""
-    return sheffer_from_pair(Series.one(order), deg_exp(1, order) - 1, order)
-
-
-def falling_factorial_sequence(order: int) -> ShefferSeq:
+def _falling_sequence(order: int) -> ShefferSeq:
     """The sequence x(x-λ)...(x-(n-1)λ), associated to the delta series with
     coefficients λ^(n-1)/n! (whose inverse substitution exponentiates to the
     deformed exponential).  The matrix read off from the pair is checked
@@ -153,6 +128,28 @@ def falling_factorial_sequence(order: int) -> ShefferSeq:
                 f"deformed falling sequence disagrees with the direct product at n={n}"
             )
     return seq
+
+
+def _appell_sequence(order: int) -> ShefferSeq:
+    """The Appell sequence of the pair (t/(e_λ(t) - 1), t)."""
+    base = deg_exp(1, order + 1) - 1
+    g = mul_inverse(base.shift_down())
+    return sheffer_from_pair(g, Series.identity(order), order)
+
+
+# The one table of Sheffer sequences: name -> order -> ShefferSeq.  "ident" is
+# the group identity x^n, pair (1, t).  "s2" is the associated sequence of the
+# deformed logarithm, whose matrix is the degenerate second-kind triangle;
+# "s1" that of the deformed exponential minus one, whose matrix is the
+# degenerate first-kind triangle.  Entries look up ``sheffer_from_pair`` as a
+# module global when called, so a wrapper installed on the module sees them.
+SEQUENCES = {
+    "ident": lambda order: sheffer_from_pair(Series.one(order), Series.identity(order), order),
+    "s2": lambda order: sheffer_from_pair(Series.one(order), deg_log(order), order),
+    "s1": lambda order: sheffer_from_pair(Series.one(order), deg_exp(1, order) - 1, order),
+    "fall": _falling_sequence,
+    "appell": _appell_sequence,
+}
 
 
 def umbral_compose(q: ShefferSeq, p: ShefferSeq) -> tuple:
@@ -220,8 +217,13 @@ def umbral_power_explicit_rows(r: ShefferSeq, m: int):
 
 
 def group_inverse(s: ShefferSeq) -> ShefferSeq:
-    """The umbral-composition inverse: the sequence of s's inverse pair."""
-    return sheffer_from_pair(*_inverse_pair(s.g, s.f), s.order)
+    """The umbral-composition inverse: the sequence of s's inverse pair
+    (1/g(fbar), fbar), fbar the compositional inverse of f; for g = 1 the
+    first member is 1 and nothing is composed."""
+    fbar = comp_inverse(s.f)
+    one = Series.one(s.g.order)
+    g = one if s.g == one else mul_inverse(compose(s.g, fbar))
+    return sheffer_from_pair(g, fbar, s.order)
 
 
 def squared_composed_polys(r: ShefferSeq, fall: ShefferSeq) -> tuple:
@@ -239,8 +241,9 @@ def corollary15_sides(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
     and the sides (lhs, rhs) as their coefficients of t^0..t^order, each a
     polynomial in x.
 
-    The right-hand side is read column by column: [x^k] of it is the
-    λ-series Σₙ s[n][k]/n!·ℓbarⁿ, all through one ``substitution`` of ℓbar."""
+    The right-hand side is one Riordan product: [x^k][t^n] of it is
+    Σⱼ s[j][k]/j!·[t^n] ℓbarʲ, row n of the product of ℓbar's
+    ``egf_triangle_rows`` with s's matrix, scaled by 1/n!."""
     if r.g != Series.one(r.g.order):
         raise ValueError("r must be an associated sequence (unit invertible part)")
     if m < 1:
@@ -248,13 +251,8 @@ def corollary15_sides(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
     order = min(order, r.order, s.order)
     composed = _composed(umbral_power(r, m), s)
     lhs = [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(composed[:order + 1])]
-    of_ell_bar = substitution(compositional_power(comp_inverse(r.f.truncate(order)), m))
-    zero = LambdaPoly.zero()
-    columns = [
-        of_ell_bar(Series([row[k] * (QONE / factorial(n)) if k <= n else zero
-                           for n, row in enumerate(s.matrix[:order + 1])]))
-        for k in range(order + 1)
-    ]
-    rhs = [XPoly([column.coeffs[n] for column in columns]) for n in range(order + 1)]
+    ell_bar = compositional_power(comp_inverse(r.f.truncate(order)), m)
+    rows = convolution_rows(egf_triangle_rows(ell_bar, order), s.matrix[:order + 1])
+    rhs = [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(rows)]
     return composed, lhs, rhs
 

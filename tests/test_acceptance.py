@@ -71,12 +71,12 @@ def test_criterion_1_identity_suite(suite):
 def test_criterion_2_classical_degeneration(suite):
     by_id, _ = suite
     ok = by_id["classical"].passed
-    from degenpoly.triangles import stirling1_deg, stirling2_deg
-    from degenpoly.families import deg_bell
+    from degenpoly.triangles import build_triangle
+    from degenpoly.families import build_family
 
-    s2 = stirling2_deg(10)
-    s1 = stirling1_deg(10)
-    bell = deg_bell(10)
+    s2 = build_triangle("s2deg", 10)
+    s1 = build_triangle("s1deg", 10)
+    bell = build_family("degbell", 10)
     for n in range(11):
         for k in range(n + 1):
             ok = ok and s2.entry(n, k).eval(0) == partition_oracle(n, k)
@@ -133,9 +133,9 @@ def test_criterion_6_slice_identities(suite):
 def test_criterion_7_t_triple_agreement(suite):
     by_id, _ = suite
     ok, bad = _all_pass(by_id, ("eq17", "eq19"))
-    from degenpoly.triangles import t_numbers
+    from degenpoly.triangles import build_triangle
 
-    t = t_numbers(10)
+    t = build_triangle("t", 10)
     for n in range(1, 11):
         ok = ok and t.entry(n, 1) == bell_number_classical(n)
     _report("7 doubly-composed table: convolution, multinomial, Bell column", ok,

@@ -3,15 +3,8 @@
 import pytest
 
 from degenpoly.algebra import LambdaPoly, XPoly, falling_products, specialize
-from degenpoly.families import (
-    bell_number_classical,
-    build_family,
-    deg_bell,
-    gaenari,
-    jindalrae,
-    newtype_bell,
-)
-from degenpoly.triangles import stirling1_deg, stirling2_deg
+from degenpoly.families import bell_number_classical, build_family
+from degenpoly.triangles import build_triangle
 
 N = 8
 
@@ -26,17 +19,17 @@ def xp(*coeffs):
 
 @pytest.fixture(scope="module")
 def bell():
-    return deg_bell(N)
+    return build_family("degbell", N)
 
 
 @pytest.fixture(scope="module")
 def jind():
-    return jindalrae(N)
+    return build_family("jindalrae", N)
 
 
 @pytest.fixture(scope="module")
 def gaen():
-    return gaenari(N)
+    return build_family("gaenari", N)
 
 
 class TestDegBell:
@@ -62,14 +55,14 @@ class TestDegBell:
 
 class TestNewTypeBell:
     def test_second_member(self):
-        fam = newtype_bell(4)
+        fam = build_family("newbell", 4)
         assert fam.poly(2) == xp(0, lp(1, -1), 1)
 
     def test_lambda_zero_is_classical_bell_polynomial(self):
         # B_n(x) = sum over k of S_2(n,k) x^k, built from the partition oracle
         from degenpoly.oracles import partition_oracle
 
-        fam = newtype_bell(6)
+        fam = build_family("newbell", 6)
         for n in range(7):
             coeffs = [partition_oracle(n, k) for k in range(n + 1)]
             assert specialize(fam.poly(n), 0) == LambdaPoly(coeffs)
@@ -82,7 +75,7 @@ class TestJindalrae:
         assert jind.poly(2) == xp(0, lp(2, -3), 1)
 
     def test_thm10_instance(self, jind, bell):
-        s2 = stirling2_deg(N)
+        s2 = build_triangle("s2deg", N)
         for n in range(N + 1):
             acc = XPoly.zero()
             for m in range(n + 1):
@@ -90,7 +83,7 @@ class TestJindalrae:
             assert acc == jind.poly(n)
 
     def test_thm9_instance(self, jind, bell):
-        s1 = stirling1_deg(N)
+        s1 = build_triangle("s1deg", N)
         for n in range(N + 1):
             acc = XPoly.zero()
             for m in range(n + 1):
@@ -110,7 +103,7 @@ class TestGaenari:
             assert gaen.poly(n).eval_x(1) == shifted[n - 1]
 
     def test_thm12_instance(self, gaen):
-        s2 = stirling2_deg(N)
+        s2 = build_triangle("s2deg", N)
         falling = falling_products(XPoly.var(), -1, N)
         for n in range(N + 1):
             acc = XPoly.zero()
@@ -151,10 +144,8 @@ class TestStructure:
             bell.poly(N + 1)
 
     def test_dual_expansions_of_deformed_falling(self, jind, gaen):
-        from degenpoly.triangles import jstirling1, jstirling2
-
-        j1 = jstirling1(N)
-        j2 = jstirling2(N)
+        j1 = build_triangle("j1deg", N)
+        j2 = build_triangle("j2deg", N)
         falling = falling_products(XPoly.var(), -LambdaPoly.var(), N)
         for n in range(N + 1):
             left = XPoly.zero()

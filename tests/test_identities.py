@@ -100,9 +100,9 @@ class TestLambdaOneDegeneration:
     def test_first_kind_collapses_to_identity_matrix(self):
         # at λ=1 the deformed logarithm of 1+t is t itself, so all its
         # scaled powers are bare monomials
-        from degenpoly.triangles import stirling1_deg
+        from degenpoly.triangles import build_triangle
 
-        tri = stirling1_deg(6)
+        tri = build_triangle("s1deg", 6)
         for n in range(7):
             for k in range(n + 1):
                 assert tri.entry(n, k).eval(1) == (1 if n == k else 0)

@@ -26,16 +26,14 @@ sys.stderr.write(json.dumps([loaded, "degenpoly.identities" in sys.modules]))
 
 PACKAGE_NAMES = [
     "CheckResult", "FAMILY_KINDS", "LambdaPoly", "PolyFamily", "RouteMismatchError",
-    "SLICE_KINDS", "Series", "ShefferSeq", "SuiteConfig", "TRIANGLE_KINDS", "Triangle",
-    "UnknownIdentityError", "XPoly", "algebra", "bell_number_classical", "build_family",
-    "classical_exp", "comp_inverse", "compose", "compositional_power", "deg_bell",
-    "deg_exp", "deg_log", "describe_identities", "falling_factorial_sequence",
-    "families", "gaenari", "group_inverse", "identities", "identity_ids",
-    "identity_sheffer", "jindalrae", "jstirling1", "jstirling2", "mul_inverse",
-    "newtype_bell", "oracles", "partition_oracle", "run_suite", "scalars", "series",
-    "sheffer_from_pair", "signed_cycle_oracle", "specialize", "stirling1_deg",
-    "stirling1_sequence", "stirling2_deg", "stirling2_sequence", "t_numbers",
-    "triangles", "umbral", "umbral_compose", "umbral_power",
+    "SEQUENCES", "SLICE_KINDS", "Series", "ShefferSeq", "SuiteConfig", "TRIANGLE_KINDS",
+    "Triangle", "UnknownIdentityError", "XPoly", "algebra", "bell_number_classical",
+    "build_family", "build_triangle", "classical_exp", "comp_inverse", "compose",
+    "compositional_power", "deg_exp", "deg_log", "describe_identities", "families",
+    "group_inverse", "identities", "identity_ids", "mul_inverse", "oracles",
+    "partition_oracle", "run_suite", "scalars", "series", "sheffer_from_pair",
+    "signed_cycle_oracle", "specialize", "triangles", "umbral", "umbral_compose",
+    "umbral_power",
 ]
 
 

@@ -55,10 +55,10 @@ class TestInverse:
 
 def test_everything_stays_exact():
     # crawl a few engine artifacts and confirm no coefficient is a float
-    from degenpoly.families import jindalrae
+    from degenpoly.families import build_family
     from degenpoly.triangles import korobov_table
 
-    for poly in jindalrae(5).polys:
+    for poly in build_family("jindalrae", 5).polys:
         for lam_poly in poly.coeffs:
             assert all(is_scalar(c) and not isinstance(c, float) for c in lam_poly.coeffs)
     for value in korobov_table(5, 3)[3]:

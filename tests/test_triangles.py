@@ -11,12 +11,7 @@ from degenpoly.triangles import (
     build_triangle,
     convolution_rows,
     deg_bernoulli_table,
-    jstirling1,
-    jstirling2,
     korobov_table,
-    stirling1_deg,
-    stirling2_deg,
-    t_numbers,
 )
 
 N = 8
@@ -65,22 +60,22 @@ def test_basis_change_recurrence_matches_the_peel(pair):
 
 @pytest.fixture(scope="module")
 def s2():
-    return stirling2_deg(N)
+    return build_triangle("s2deg", N)
 
 
 @pytest.fixture(scope="module")
 def s1():
-    return stirling1_deg(N)
+    return build_triangle("s1deg", N)
 
 
 @pytest.fixture(scope="module")
 def j2():
-    return jstirling2(N)
+    return build_triangle("j2deg", N)
 
 
 @pytest.fixture(scope="module")
 def j1():
-    return jstirling1(N)
+    return build_triangle("j1deg", N)
 
 
 class TestSecondKind:
@@ -164,7 +159,7 @@ class TestClassical:
 
 class TestTNumbers:
     def test_small_entries(self):
-        t = t_numbers(6)
+        t = build_triangle("t", 6)
         assert t.entry(2, 1) == 2
         assert t.entry(3, 1) == 5
         assert t.entry(3, 2) == 6
@@ -172,7 +167,7 @@ class TestTNumbers:
     def test_column_one_is_bell(self):
         from degenpoly.oracles import bell_number_classical
 
-        t = t_numbers(8)
+        t = build_triangle("t", 8)
         for n in range(1, 9):
             assert t.entry(n, 1) == bell_number_classical(n)
 
@@ -191,7 +186,7 @@ class TestSlices:
     def test_korobov_identity_with_second_kind(self):
         from math import comb
 
-        s2 = stirling2_deg(6)
+        s2 = build_triangle("s2deg", 6)
         table = korobov_table(6, 6)
         for n in range(1, 7):
             for k in range(1, n + 1):
@@ -200,7 +195,7 @@ class TestSlices:
     def test_bernoulli_identity_with_first_kind(self):
         from math import comb
 
-        s1 = stirling1_deg(6)
+        s1 = build_triangle("s1deg", 6)
         table = deg_bernoulli_table(6, 6)
         for n in range(1, 7):
             for k in range(1, n + 1):
@@ -221,7 +216,7 @@ class TestIndependentSpecializations:
         order = 6
         base = [Q(0)] + [Q(comb(q, j), q**j) for j in range(1, q + 1)]
         base += [Q(0)] * (order + 1 - len(base))
-        tri = stirling2_deg(order)
+        tri = build_triangle("s2deg", order)
         power = [Q(1)] + [Q(0)] * order
         for k in range(order + 1):
             if k:

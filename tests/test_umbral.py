@@ -7,8 +7,7 @@ import pytest
 
 from degenpoly import series, triangles, umbral
 from degenpoly.algebra import LambdaPoly, XPoly, falling_products
-from degenpoly.families import gaenari, jindalrae
-from degenpoly.identities import _SEQUENCES
+from degenpoly.families import build_family
 from degenpoly.series import (
     Series,
     comp_inverse,
@@ -20,24 +19,18 @@ from degenpoly.series import (
 )
 from degenpoly.triangles import (
     convolution_rows,
+    build_triangle,
     egf_triangle_rows,
-    jstirling1,
-    jstirling2,
     rows_mismatch,
-    stirling1_deg,
-    stirling2_deg,
 )
 from degenpoly.umbral import (
+    SEQUENCES,
     compose_pair,
     corollary15_sides,
-    falling_factorial_sequence,
     group_inverse,
-    identity_sheffer,
     power_pair,
     sheffer_from_pair,
     squared_composed_polys,
-    stirling1_sequence,
-    stirling2_sequence,
     umbral_compose,
     umbral_power,
     umbral_power_explicit_rows,
@@ -83,28 +76,27 @@ def product_loop_rows(r, m):
 
 @pytest.fixture(scope="module")
 def ident():
-    return identity_sheffer(N)
+    return SEQUENCES["ident"](N)
 
 
 @pytest.fixture(scope="module")
 def log_seq():
-    return stirling2_sequence(N)
+    return SEQUENCES["s2"](N)
 
 
 @pytest.fixture(scope="module")
 def exp_seq():
-    return stirling1_sequence(N)
+    return SEQUENCES["s1"](N)
 
 
 @pytest.fixture(scope="module")
 def fall_seq():
-    return falling_factorial_sequence(N)
+    return SEQUENCES["fall"](N)
 
 
 @pytest.fixture(scope="module")
 def appell_seq():
-    g = mul_inverse((deg_exp(1, N + 1) - 1).shift_down())
-    return sheffer_from_pair(g, Series.identity(N), N)
+    return SEQUENCES["appell"](N)
 
 
 class TestPairConstruction:
@@ -113,10 +105,10 @@ class TestPairConstruction:
             assert ident.poly(n) == XPoly([LambdaPoly.zero()] * n + [LambdaPoly.one()])
 
     def test_log_pair_matrix_is_second_kind_triangle(self, log_seq):
-        assert rows_mismatch(log_seq.matrix, stirling2_deg(N).rows) is None
+        assert rows_mismatch(log_seq.matrix, build_triangle("s2deg", N).rows) is None
 
     def test_exp_pair_matrix_is_first_kind_triangle(self, exp_seq):
-        assert rows_mismatch(exp_seq.matrix, stirling1_deg(N).rows) is None
+        assert rows_mismatch(exp_seq.matrix, build_triangle("s1deg", N).rows) is None
 
     def test_falling_sequence_polys(self, fall_seq):
         falling = falling_products(XPoly.var(), -LambdaPoly.var(), N)
@@ -135,7 +127,7 @@ class TestPairConstruction:
     @pytest.mark.parametrize("order", range(1, 11))
     def test_matrix_is_the_generating_identity(self, order):
         # the workspace sequences, thm14's 16 composed pairs and its power pairs
-        seqs = {name: build(order) for name, build in _SEQUENCES.items()}
+        seqs = {name: build(order) for name, build in SEQUENCES.items()}
         named = [seqs[name] for name in ("ident", "s1", "s2", "appell")]
         pairs = [(s.g, s.f) for s in seqs.values()]
         pairs += [compose_pair(q, p) for q in named for p in named]
@@ -174,7 +166,7 @@ class TestGroup:
 
     def test_compose_requires_equal_orders(self, log_seq):
         with pytest.raises(ValueError, match="order mismatch"):
-            umbral_compose(log_seq, stirling2_sequence(N - 1))
+            umbral_compose(log_seq, SEQUENCES["s2"](N - 1))
 
 
 class TestPowers:
@@ -182,10 +174,10 @@ class TestPowers:
         assert umbral_power(log_seq, 1) == log_seq.matrix
 
     def test_square_of_log_pair_is_iterated_second_kind(self, log_seq):
-        assert rows_mismatch(umbral_power(log_seq, 2), jstirling2(N).rows) is None
+        assert rows_mismatch(umbral_power(log_seq, 2), build_triangle("j2deg", N).rows) is None
 
     def test_square_of_exp_pair_is_iterated_first_kind(self, exp_seq):
-        assert rows_mismatch(umbral_power(exp_seq, 2), jstirling1(N).rows) is None
+        assert rows_mismatch(umbral_power(exp_seq, 2), build_triangle("j1deg", N).rows) is None
 
     def test_power_is_iterated_compose(self, log_seq):
         assert rows_mismatch(
@@ -218,7 +210,7 @@ class TestPowers:
 
     def test_matrix_operations_build_no_pair(self, monkeypatch, ident, log_seq, exp_seq, fall_seq):
         explicit = umbral_power_explicit_rows(log_seq, 3)
-        direct = jindalrae(N).polys
+        direct = build_family("jindalrae", N).polys
 
         def refuse(*args):
             raise AssertionError("a matrix operation built a pair")
@@ -264,7 +256,7 @@ class TestPairCost:
         monkeypatch.setattr(umbral, "compose", counted)
         inv = group_inverse(log_seq)
         assert composed == [] and built == []
-        assert umbral_compose(log_seq, inv) == identity_sheffer(N).matrix
+        assert umbral_compose(log_seq, inv) == SEQUENCES["ident"](N).matrix
 
     def test_pair_construction_inverts_and_composes_nothing(
             self, monkeypatch, log_seq, exp_seq, appell_seq):
@@ -284,12 +276,12 @@ class TestPairCost:
 
 class TestFamilyRoutes:
     @pytest.mark.parametrize(
-        "name, family", [("log_seq", jindalrae), ("exp_seq", gaenari)],
+        "name, family", [("log_seq", "jindalrae"), ("exp_seq", "gaenari")],
         ids=["jindalrae", "gaenari"],
     )
     def test_matches_direct(self, request, fall_seq, name, family):
         r = request.getfixturevalue(name)
-        assert squared_composed_polys(r, fall_seq) == family(N).polys
+        assert squared_composed_polys(r, fall_seq) == build_family(family, N).polys
 
 
 class TestCorollary15:
@@ -317,7 +309,7 @@ class TestCorollary15:
     @pytest.mark.parametrize("name", ["ident", "log_seq", "exp_seq"])
     def test_column_rhs_matches_x_horner_rhs(self, request, fall_seq, name, m, order):
         # the right-hand side as one x-coefficient Horner substitution of s's
-        # whole generating series, the way it was read before the columns
+        # whole generating series, independent of the Riordan product
         r = request.getfixturevalue(name)
         _, _, rhs = corollary15_sides(r, fall_seq, m, order)
         ell_bar = compositional_power(comp_inverse(r.f.truncate(order)), m)

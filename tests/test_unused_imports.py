@@ -5,12 +5,14 @@ A name counts as used when it appears as a bare name (an attribute access
 ``a.b`` reads ``a``) or inside a string annotation.  ``__init__.py`` is
 exempt, since it imports to re-export, as is a name listed in a module's
 ``__all__``.  ``triangles.compose`` is exempt as well: the benchmark's
-tracing test reads it there.
+tracing test reads it there (and ``identities.identity_ids``, below).
 
 Every module-level private function or class (one whose name starts with a
 single underscore) is referenced somewhere in the package, as a bare name or
 as an attribute: dead private code fails here.  So is every public method of
-a package class (dunders aside): a method that only tests call fails too.
+a package class (dunders aside) and every module-level public function: one
+that only tests call fails too.  A public function counts as referenced only
+when code reads it; the strings of ``__all__`` and ``__init__._LAZY`` do not.
 """
 
 import ast
@@ -20,7 +22,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "degenpoly"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-EXEMPT = {("triangles", "compose")}
+EXEMPT = {("triangles", "compose"), ("identities", "identity_ids")}
 
 
 def _imported(tree):
@@ -93,11 +95,11 @@ def _referenced(tree):
                           if isinstance(node, ast.Attribute)}
 
 
-def _unreferenced(paths, definitions):
+def _unreferenced(paths, definitions, referenced=_referenced):
     """(module, *definition) for each definition, ending (name, line), whose
-    name no module in paths references."""
+    name no module in paths references (as ``referenced`` reads a module)."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
-    used = set().union(*map(_referenced, trees.values()))
+    used = set().union(*map(referenced, trees.values()))
     return [(path.stem, *found) for path, tree in trees.items()
             for found in definitions(tree) if found[-2] not in used]
 
@@ -159,3 +161,41 @@ def test_check_sees_an_unreferenced_public_method(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced_public_methods([module]) == [("sample", "Poly", "dead", 6)]
+
+
+def _public_functions(tree):
+    """(name, line) of every module-level public function."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.lineno
+
+
+def _read_as_code(tree):
+    """Every bare name and attribute a module reads; no string counts."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def unreferenced_public_functions(paths):
+    return [found for found in _unreferenced(paths, _public_functions, _read_as_code)
+            if found[:2] not in EXEMPT]
+
+
+def test_no_unreferenced_public_function():
+    assert unreferenced_public_functions(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_check_sees_an_unreferenced_public_function(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "_LAZY = {'sample': ('dead',)}\n"
+        "__all__ = ['called', 'dead']\n"
+        "def called():\n"
+        "    return sample.read_as_attribute\n"
+        "def read_as_attribute():\n"
+        "    return called()\n"
+        "def dead() -> 'dead':\n"
+        "    return 'dead()'\n",
+        encoding="utf-8",
+    )
+    assert unreferenced_public_functions([module]) == [("sample", "dead", 7)]
