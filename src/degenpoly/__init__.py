@@ -9,13 +9,8 @@ floating point appears anywhere.
 __version__ = "0.1.0"
 
 from .algebra import LambdaPoly, XPoly, specialize
-from .families import (
-    FAMILY_KINDS,
-    PolyFamily,
-    bell_number_classical,
-    build_family,
-)
-from .oracles import partition_oracle, signed_cycle_oracle
+from .families import FAMILY_KINDS, PolyFamily, build_family
+from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .series import (
     Series,
     classical_exp,

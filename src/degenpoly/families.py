@@ -23,7 +23,6 @@ from math import factorial
 from typing import NamedTuple
 
 from .algebra import LambdaPoly, XPoly, falling_products
-from .oracles import bell_number_classical
 from .triangles import (
     FrozenValue,
     RouteMismatchError,
@@ -131,6 +130,5 @@ __all__ = [
     "FAMILIES",
     "FAMILY_KINDS",
     "PolyFamily",
-    "bell_number_classical",
     "build_family",
 ]

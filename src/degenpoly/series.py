@@ -83,11 +83,6 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, n: int):
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
-
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} series to {order}")

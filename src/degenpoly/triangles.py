@@ -40,6 +40,11 @@ from .scalars import Q
 # compose is not called here: perfbench/test_perfbench.py reads triangles.compose.
 from .series import Series, compose, deg_exp, deg_log, mul_inverse, powers
 
+# The λ = 0 rows of s1/s2 are checked against the oracles up to n = 10, not to
+# oracles.ORACLE_LIMIT = 12, for cost. Enumerating the partitions of an n-set
+# (oracles._block_counts, cache cleared; Python 3.11.7, 2-CPU shared host, five
+# runs each) took 0.03-0.04 s at n = 10, 0.10-0.21 s at 11 and 0.8-1.3 s at 12,
+# which every `triangle --kind s2 --order >= 12` request would pay.
 _ORACLE_CHECK_LIMIT = 10
 
 

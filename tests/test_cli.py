@@ -190,6 +190,27 @@ class TestVerifyCommand:
         assert out == ""
         assert "--lambda-list" in err
 
+    def test_malformed_lambda_list_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--order", "2", "--lambda-list", "1/2,x")
+        assert code == 2 and out == ""
+        assert "malformed rational list '1/2,x'" in err
+
+    @pytest.mark.parametrize("lambdas", ["1/2,-1", "2,-3/2"])
+    def test_lambda_list_is_only_recorded(self, capsys, lambdas):
+        # a check that holds symbolically holds at every λ, so the listed
+        # values change nothing but the metadata that records them
+        def verify(fmt, *extra):
+            code, out, _ = run_cli(capsys, "verify", "--order", "4", "--format", fmt, *extra)
+            assert code == 0
+            return out
+
+        flag = f"--lambda-list={lambdas}"
+        plain, listed = json.loads(verify("json")), json.loads(verify("json", flag))
+        assert plain["metadata"]["parameters"].pop("lambda_list") == []
+        assert listed["metadata"]["parameters"].pop("lambda_list") == lambdas.split(",")
+        assert listed == plain
+        assert verify("table", flag) == verify("table")
+
     def test_include_stretch(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--order", "3", "--include-stretch", "--format", "json"

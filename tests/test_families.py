@@ -3,7 +3,8 @@
 import pytest
 
 from degenpoly.algebra import LambdaPoly, XPoly, falling_products, specialize
-from degenpoly.families import bell_number_classical, build_family
+from degenpoly.families import build_family
+from degenpoly.oracles import bell_number_classical
 from degenpoly.triangles import build_triangle
 
 N = 8

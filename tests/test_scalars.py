@@ -74,7 +74,7 @@ def test_fraction_fallback_backend_runs_the_suite():
         assert Q is Fraction
 
         from degenpoly.identities import SuiteConfig, run_suite
-        results = run_suite(SuiteConfig(order=4, lambda_specializations=("1/2",)))
+        results = run_suite(SuiteConfig(order=4))
         bad = [r.identity_id for r in results if not r.passed]
         assert not bad, bad
 

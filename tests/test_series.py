@@ -76,7 +76,7 @@ class TestConstructors:
             assert specialize(s.coeffs[n], 0) == expected[n]
 
     def test_egf_coeff(self):
-        assert deg_exp(1, 3).coeff(2) * factorial(2) == lp(1, -1)
+        assert deg_exp(1, 3).coeffs[2] * factorial(2) == lp(1, -1)
 
     def test_classical_exp(self):
         assert classical_exp(3).coeffs == (lp(1), lp(1), lp(Q(1, 2)), lp(Q(1, 6)))
@@ -96,8 +96,8 @@ class TestCompose:
     def test_double_exponential_bell_coefficients(self):
         em1 = deg_exp(1, 2) - 1
         s = compose(em1, em1)
-        assert s.coeff(1) * factorial(1) == lp(1)
-        assert s.coeff(2) * factorial(2) == lp(2, -2)
+        assert s.coeffs[1] * factorial(1) == lp(1)
+        assert s.coeffs[2] * factorial(2) == lp(2, -2)
 
     def test_rejects_nonzero_constant_term(self):
         with pytest.raises(ValueError, match="constant term"):
@@ -180,22 +180,18 @@ class TestScaledPower:
     def test_second_kind_instance(self):
         f = deg_exp(1, 3) - 1
         *_, s = powers(f, f, 1)
-        assert s.coeff(3) * Q(factorial(3), factorial(2)) == lp(3, -3)
+        assert s.coeffs[3] * Q(factorial(3), factorial(2)) == lp(3, -3)
 
     def test_first_kind_instance(self):
         f = deg_log(3)
         *_, s = powers(f, f, 1)
-        assert s.coeff(3) * Q(factorial(3), factorial(2)) == lp(-3, 3)
+        assert s.coeffs[3] * Q(factorial(3), factorial(2)) == lp(-3, 3)
 
 
 class TestSeriesBasics:
     def test_shift_down_requires_zero_constant(self):
         with pytest.raises(ValueError, match="constant term"):
             deg_exp(1, 3).shift_down()
-
-    def test_coeff_out_of_range(self):
-        with pytest.raises(IndexError):
-            deg_log(3).coeff(4)
 
     def test_min_order_arithmetic(self):
         assert (deg_log(7) + deg_log(4)).order == 4
