@@ -10,8 +10,9 @@ an inner delta series u, and is read coefficient by coefficient from its
 differential equation (1 + λu)·F' = x·u'·F (Miller's recurrence for powers
 of a series, Knuth, TAOCP vol. 2, §4.7; Stanley, Eur. J. Combin. 1, 1980)
 in O(N²) ring operations, with no Horner composition; so are the inner
-series of the doubled families (``triangles.Workspace.doubled``).  Family
-polynomials are monic of exact degree n in x with a λ-free leading
+series, each a workspace entry of ``series.DELTA_MAPS`` (the delta series of
+``triangles.Workspace.delta``, or the doubled map of ``Workspace.doubled``).
+Family polynomials are monic of exact degree n in x with a λ-free leading
 coefficient, which the builders verify.  Every kind sits in the one
 ``FAMILIES`` table: the triangle it sums and the inner series of its
 generating function.
@@ -30,7 +31,7 @@ from .triangles import (
     row_sums,
     rows_mismatch,
 )
-from .series import Series, classical_exp, deg_exp_coeffs
+from .series import Series, deg_exp_coeffs
 
 
 class PolyFamily(FrozenValue):
@@ -89,13 +90,11 @@ class FamilyKind(NamedTuple):
     inner: object   # workspace -> the inner series of the generating function
 
 
-# The one table of family kinds.  The inner series of the deformed kinds are
-# the workspace's delta series, shared with the triangle routes; the others
-# look up the series layer as module globals when called, so a wrapper
-# installed on the module sees them.
+# The one table of family kinds.  Every inner series is a workspace delta
+# series or doubled map, shared with the triangle routes.
 FAMILIES = {
     "degbell": FamilyKind("s2deg", lambda ws: ws.delta("exp")),
-    "newbell": FamilyKind("s2", lambda ws: classical_exp(ws.order) - 1),
+    "newbell": FamilyKind("s2", lambda ws: ws.delta("classical")),
     "jindalrae": FamilyKind("j2deg", lambda ws: ws.doubled("exp")),
     "gaenari": FamilyKind("j1deg", lambda ws: ws.doubled("log")),
 }

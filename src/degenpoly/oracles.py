@@ -9,7 +9,8 @@ check the engine against code that shares nothing with it.
 * Signed first-kind numbers come from literally expanding the product
   x(x-1)(x-2)...(x-n+1) over plain Python ints.
 
-Enumeration is capped at n = 12; partition counts grow fast beyond that.
+Partition enumeration is capped at n = 12; partition counts grow fast beyond
+that.  The product expansion is O(n²) int operations and has no cap.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ def bell_number_classical(n: int) -> int:
 @lru_cache(maxsize=None)
 def _falling_product_coeffs(n: int) -> tuple:
     """Integer coefficients of x(x-1)...(x-n+1), ascending in x."""
-    if n > ORACLE_LIMIT:
-        raise ValueError(f"expansion oracle capped at n <= {ORACLE_LIMIT}")
     coeffs = [1]
     for j in range(n):
         shifted = [0] + coeffs                      # x * old

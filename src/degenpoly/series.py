@@ -31,10 +31,14 @@ takes N - 1 series multiplies to build the power table.
 * ``deg_log(N, u=t)``: log_λ(1 + u(t)) = ((1 + u)^λ - 1)/λ (a = 1, w = λ);
   for u = t its coefficients are (λ-1)(λ-2)...(λ-n+1)/n!.  The division by
   λ is an exact shift of numerators, which refuses a nonzero constant term.
-* ``classical_exp(N)``: exp(t) (a = 0, w = 1), the λ = 0 limit.
+* ``classical_exp(N, u=t)``: exp(u(t)) (a = 0, w = 1), the λ = 0 limit.
 
 ``deg_log`` and ``deg_exp(1) - 1`` are compositional inverses of one another,
 which the test suite checks coefficientwise and through round trips.
+
+``DELTA_MAPS`` is the one table of the delta series other modules read:
+e_λ(u) - 1 ("exp"), log_λ(1 + u) ("log") and exp(u) - 1 ("classical"), of t
+or of an inner delta series u; no other module calls the three maps above.
 
 Powers of a series are read from one running power, ``powers``.  So are
 ``comp_inverse``, by Lagrange inversion: [t^n] fbar = (1/n) [t^(n-1)] (t/f)^n,
@@ -214,10 +218,20 @@ def _over_lambda(c: LambdaPoly) -> LambdaPoly:
     return LambdaPoly(c.coeffs[1:])
 
 
-def classical_exp(order: int) -> Series:
-    """exp(t) truncated: coefficients 1/n! (λ-free), from the recurrence
-    ``deg_exp_coeffs`` at a = 0, w = 1."""
-    return Series(deg_exp_coeffs(LambdaPoly.one(), order, None, 0))
+def classical_exp(order: int, inner: Series | None = None) -> Series:
+    """exp(u(t)) of a delta series u (u = t when inner is None: coefficients
+    1/n!, λ-free), from the recurrence ``deg_exp_coeffs`` at a = 0, w = 1."""
+    return Series(deg_exp_coeffs(LambdaPoly.one(), order, inner, 0))
+
+
+# name -> (order, inner delta series u, t when omitted) -> the delta series.
+# Entries look up the maps as module globals when called, so a wrapper
+# installed on the module sees them.
+DELTA_MAPS = {
+    "exp": lambda order, inner=None: deg_exp(1, order, inner) - 1,
+    "log": lambda order, inner=None: deg_log(order, inner),
+    "classical": lambda order, inner=None: classical_exp(order, inner) - 1,
+}
 
 
 def compose(outer: Series, inner: Series) -> Series:

@@ -9,9 +9,9 @@ for the degenerate families.  A route disagreement raises
 
 Routes per kind, all in the one ``TRIANGLES`` table (a ``Workspace`` builds
 a kind's routes once, after the kinds and series they read, and validates
-them; the delta series e_λ(t)-1 and log_λ(1+t) and each map of its own
-delta series come from one recurrence, ``series.deg_exp_coeffs``, and are
-built once per workspace and shared with the family routes):
+them; every delta series, e_λ(t)-1, log_λ(1+t), exp(t)-1 and each map of its
+own delta series, is an entry of ``series.DELTA_MAPS``, built once per
+workspace and shared with the family routes):
 
 * second-kind degenerate ("s2deg"): EGF extraction from powers of e_λ(t)-1
   versus the row recurrence of the change of basis expressing
@@ -21,30 +21,32 @@ built once per workspace and shared with the family routes):
 * first-kind degenerate ("s1deg"): powers of the deformed logarithm versus
   the same recurrence for (x)_n in the deformed falling basis,
   S1_λ(n+1, k) = S1_λ(n, k-1) + (kλ - n)·S1_λ(n, k).
-* iterated kinds ("j2deg"/"j1deg"): powers of the doubled map versus the
-  self-convolution of the single-level triangle.
-* classical ("s2"/"s1"): λ=0 specialisation versus brute-force oracles.
-* doubly-composed classical ("t"): convolution of the classical second-kind
-  table with itself versus the multinomial sum over Bell-number products
-  (the latter only for n <= 8; composition counts grow quickly).
+* iterated kinds ("j2deg"/"j1deg", and "t", their λ = 0 case with EGF
+  (e^(e^t-1) - 1)^k/k!): powers of the doubled map versus the
+  self-convolution of the single-level triangle ("s2" for "t").  The eq19
+  identity checks "t" against the paper's multinomial Bell sum.
+* classical ("s2"/"s1"): λ=0 specialisation versus brute-force oracles, the
+  partition enumeration up to n = 10 and the product expansion at every row.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 from typing import NamedTuple
 
 from .algebra import LambdaPoly, XPoly, lp_dot, xp_dot
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q
 # compose is not called here: perfbench/test_perfbench.py reads triangles.compose.
-from .series import Series, compose, deg_exp, deg_log, mul_inverse, powers
+from .series import DELTA_MAPS, Series, compose, mul_inverse, powers
 
-# The λ = 0 rows of s1/s2 are checked against the oracles up to n = 10, not to
-# oracles.ORACLE_LIMIT = 12, for cost. Enumerating the partitions of an n-set
-# (oracles._block_counts, cache cleared; Python 3.11.7, 2-CPU shared host, five
-# runs each) took 0.03-0.04 s at n = 10, 0.10-0.21 s at 11 and 0.8-1.3 s at 12,
-# which every `triangle --kind s2 --order >= 12` request would pay.
+# The λ = 0 rows of s2 are checked against the partition enumeration up to
+# n = 10, not to oracles.ORACLE_LIMIT = 12, for cost. Enumerating the
+# partitions of an n-set (oracles._block_counts, cache cleared; Python 3.11.7,
+# 2-CPU shared host, five runs each) took 0.03-0.04 s at n = 10, 0.10-0.21 s
+# at 11 and 0.8-1.3 s at 12, which every `triangle --kind s2 --order >= 12`
+# request would pay.
 _ORACLE_CHECK_LIMIT = 10
 
 
@@ -177,20 +179,10 @@ def lambda_zero_rows(rows):
     return [[LambdaPoly.const(c.eval(0)) for c in row] for row in rows]
 
 
-def _compositions(n: int, k: int):
-    """All k-tuples of positive integers summing to n."""
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    for first in range(1, n - k + 2):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
 def t_multinomial_rows(order: int):
     """rows[n][k] = (1/k!) * sum over compositions of n into k positive parts
-    of the multinomial coefficient times the product of Bell numbers."""
+    of the multinomial coefficient times the product of Bell numbers; each
+    composition is the gaps between 0, its k - 1 cut points in 1..n-1, and n."""
     facts = [factorial(i) for i in range(order + 1)]
     bells = [bell_number_classical(i) for i in range(order + 1)]
     rows = []
@@ -201,14 +193,10 @@ def t_multinomial_rows(order: int):
                 row.append(LambdaPoly.const(1 if n == 0 else 0))
                 continue
             total = 0
-            for parts in _compositions(n, k):
-                coeff = facts[n]
-                for p in parts:
-                    coeff //= facts[p]
-                term = coeff
-                for p in parts:
-                    term *= bells[p]
-                total += term
+            for cuts in combinations(range(1, n), k - 1):
+                parts = [b - a for a, b in zip((0, *cuts), (*cuts, n))]
+                total += (facts[n] // prod(facts[p] for p in parts)
+                          * prod(bells[p] for p in parts))
             value = Q(total, facts[k])
             if value.denominator != 1:
                 raise RouteMismatchError(
@@ -234,20 +222,12 @@ def _series_vs_convolution(ws, doubled: Series, single: str):
     return egf_triangle_rows(doubled, ws.order), convolution_rows(rows, rows)
 
 
-def _specialised_vs_oracle(ws, degenerate: str, oracle):
+def _specialised_vs_oracle(ws, degenerate: str, oracle, limit: int):
     """λ = 0 specialisation versus a brute-force oracle, the latter only up to
-    the oracle cap (a prefix of the rows)."""
-    limit = min(ws.order, _ORACLE_CHECK_LIMIT)
+    row ``limit`` (a prefix of the rows)."""
     return lambda_zero_rows(ws.tri(degenerate).rows), [
         [LambdaPoly.const(oracle(n, k)) for k in range(n + 1)] for n in range(limit + 1)
     ]
-
-
-def _convolution_vs_multinomial(ws):
-    """Self-convolution of the classical second-kind triangle versus the
-    multinomial Bell sum (only for n <= 8)."""
-    s2 = ws.tri("s2").rows
-    return convolution_rows(s2, s2), t_multinomial_rows(min(ws.order, 8))
 
 
 class TriangleKind(NamedTuple):
@@ -259,10 +239,11 @@ class TriangleKind(NamedTuple):
 # module globals when called, so a wrapper installed on the module sees them.
 TRIANGLES = {
     "s1": TriangleKind(
-        lambda ws: _specialised_vs_oracle(ws, "s1deg", signed_cycle_oracle),
+        lambda ws: _specialised_vs_oracle(ws, "s1deg", signed_cycle_oracle, ws.order),
         "λ=0 vs product expansion"),
     "s2": TriangleKind(
-        lambda ws: _specialised_vs_oracle(ws, "s2deg", partition_oracle),
+        lambda ws: _specialised_vs_oracle(ws, "s2deg", partition_oracle,
+                                          min(ws.order, _ORACLE_CHECK_LIMIT)),
         "λ=0 vs partition enumeration"),
     "s1deg": TriangleKind(
         lambda ws: _series_vs_basis(ws, ws.delta("log"), -1, -LambdaPoly.var()),
@@ -276,16 +257,11 @@ TRIANGLES = {
     "j2deg": TriangleKind(
         lambda ws: _series_vs_convolution(ws, ws.doubled("exp"), "s2deg"),
         "series vs self-convolution"),
-    "t": TriangleKind(_convolution_vs_multinomial, "convolution vs multinomial"),
+    "t": TriangleKind(
+        lambda ws: _series_vs_convolution(ws, ws.doubled("classical"), "s2"),
+        "series vs self-convolution"),
 }
 TRIANGLE_KINDS = tuple(TRIANGLES)
-
-# The deformed maps e_λ(u) - 1 and log_λ(1 + u) of an inner delta series u
-# (t when omitted), shared with the family generating functions.
-_DELTA_MAPS = {
-    "exp": lambda order, inner=None: deg_exp(1, order, inner) - 1,
-    "log": lambda order, inner=None: deg_log(order, inner),
-}
 
 
 class Workspace:
@@ -302,12 +278,13 @@ class Workspace:
         return self._cache[key]
 
     def delta(self, name: str) -> Series:
-        """e_λ(t) - 1 ("exp") or log_λ(1 + t) ("log") at the workspace order."""
-        return self._get(("delta", name), lambda: _DELTA_MAPS[name](self.order))
+        """The ``series.DELTA_MAPS`` entry of that name at the workspace order:
+        e_λ(t) - 1 ("exp"), log_λ(1 + t) ("log") or exp(t) - 1 ("classical")."""
+        return self._get(("delta", name), lambda: DELTA_MAPS[name](self.order))
 
     def doubled(self, name: str) -> Series:
-        """A deformed map applied to its own delta series."""
-        return self._get(("doubled", name), lambda: _DELTA_MAPS[name](
+        """A map of ``series.DELTA_MAPS`` applied to its own delta series."""
+        return self._get(("doubled", name), lambda: DELTA_MAPS[name](
             self.order, self.delta(name)))
 
     def routes(self, kind: str):
@@ -325,10 +302,13 @@ def build_triangle(kind: str, order: int) -> Triangle:
     return Workspace(order).tri(kind)
 
 
-def _power_slices(base: Series, order: int, max_r: int):
-    """table[r][n] = n! [t^n] base^r for r = 0..max_r (table[0] is 1, 0, ...)."""
+def _power_slices(delta: str, order: int, max_r: int):
+    """table[r][n] = n! [t^n] (t/δ(t))^r for r = 0..max_r (table[0] is
+    1, 0, ...), δ the ``series.DELTA_MAPS`` entry of that name: "log" for the
+    Korobov numbers, "exp" for the deformed Bernoulli numbers."""
     if max_r < 1:
         raise ValueError("slice order r must be >= 1")
+    base = mul_inverse(DELTA_MAPS[delta](order + 1).shift_down())
     facts = [factorial(n) for n in range(order + 1)]
     return [tuple(power.coeffs[n] * facts[n] for n in range(order + 1))
             for power in powers(Series.one(order), base, max_r)]
@@ -336,14 +316,12 @@ def _power_slices(base: Series, order: int, max_r: int):
 
 def korobov_table(order: int, max_r: int):
     """Korobov-number slices for every order 0..max_r at once."""
-    base = mul_inverse(deg_log(order + 1).shift_down())
-    return _power_slices(base, order, max_r)
+    return _power_slices("log", order, max_r)
 
 
 def deg_bernoulli_table(order: int, max_r: int):
     """Higher-order deformed Bernoulli number slices for 0..max_r at once."""
-    base = mul_inverse((deg_exp(1, order + 1) - 1).shift_down())
-    return _power_slices(base, order, max_r)
+    return _power_slices("exp", order, max_r)
 
 
 # kind -> (order, max_r) -> the slices for r = 0..max_r

@@ -44,12 +44,11 @@ from math import factorial
 from .algebra import LambdaPoly, XPoly, falling_products, lp_dot
 from .scalars import QONE
 from .series import (
+    DELTA_MAPS,
     Series,
     comp_inverse,
     compose,
     compositional_power,
-    deg_exp,
-    deg_log,
     mul_inverse,
     substitution,
     unit_scalar,
@@ -132,8 +131,7 @@ def _falling_sequence(order: int) -> ShefferSeq:
 
 def _appell_sequence(order: int) -> ShefferSeq:
     """The Appell sequence of the pair (t/(e_λ(t) - 1), t)."""
-    base = deg_exp(1, order + 1) - 1
-    g = mul_inverse(base.shift_down())
+    g = mul_inverse(DELTA_MAPS["exp"](order + 1).shift_down())
     return sheffer_from_pair(g, Series.identity(order), order)
 
 
@@ -145,8 +143,8 @@ def _appell_sequence(order: int) -> ShefferSeq:
 # module global when called, so a wrapper installed on the module sees them.
 SEQUENCES = {
     "ident": lambda order: sheffer_from_pair(Series.one(order), Series.identity(order), order),
-    "s2": lambda order: sheffer_from_pair(Series.one(order), deg_log(order), order),
-    "s1": lambda order: sheffer_from_pair(Series.one(order), deg_exp(1, order) - 1, order),
+    "s2": lambda order: sheffer_from_pair(Series.one(order), DELTA_MAPS["log"](order), order),
+    "s1": lambda order: sheffer_from_pair(Series.one(order), DELTA_MAPS["exp"](order), order),
     "fall": _falling_sequence,
     "appell": _appell_sequence,
 }

@@ -7,7 +7,9 @@ of a workspace artifact: a triangle entry or a route entry gains 1 + λ^(n+1)
 The corrupted artifact is one the identity reads but that no other artifact
 it reads is built from, so the engine's own route checks stay quiet and the
 identity itself has to notice.  ``eq56`` compares two powers of one matrix
-and reads no corruptible artifact, so it gets a corrupted layer function.
+and reads no corruptible artifact, and ``eq19`` compares the built ``t``
+triangle with the multinomial Bell sum that only it reads, so both get a
+corrupted layer function.
 """
 
 import dataclasses
@@ -112,7 +114,7 @@ CORRUPTIONS = {
     "eq51": _artifact("family", "jindalrae", _family),
     "eq52": _artifact("family", "gaenari", _family),
     "eq17": _artifact("tri", "t", _triangle),
-    "eq19": _artifact("routes", "t", _second(_bumped_rows)),
+    "eq19": _layer(identities, "t_multinomial_rows", _bumped_rows),
     "thm14": _artifact("seq", "appell", _sequence),
     "eq56": _layer(umbral, "umbral_power_explicit_rows", _bumped_rows),
     "eq60": _artifact("seq", "s2", _sequence),

@@ -1,0 +1,65 @@
+"""Mutants of the shared kernels: each breaks one line of a copy of the
+package, and the identity suite at order 8 must notice (some check is not
+"pass").
+
+The two routes of a kind often share kernels (``lp_dot``, ``powers``,
+``egf_triangle_rows``, ``deg_exp_coeffs``), so a bug in one of them can make
+both routes wrong alike; the route check then stays quiet, and only an
+identity that reads the kernel through an independent statement can catch
+it.  Each row names the file, a source line fragment found there exactly
+once, and the fragment that replaces it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "degenpoly"
+
+MUTANTS = {
+    "lp_dot-rescale": ("algebra.py", "y = [c * scale for c in y]", "y = [c for c in y]"),
+    "lp_conv-reversed": ("algebra.py", "reversed(b[: k + 1])", "b[: k + 1]"),
+    "basis-change-weight": ("triangles.py", "(target_step * n - basis_step * k)",
+                            "(target_step * (n + 1) - basis_step * k)"),
+    "chain-sum": ("umbral.py", "if i >= k)", "if i > k)"),
+    "forward-substitution": ("umbral.py", "for m in range(k, n)", "for m in range(k, n - 1)"),
+    "power-pair": ("umbral.py", "g, f = r.g * of_ell(g), of_ell(f)",
+                   "g, f = of_ell(g), of_ell(f)"),
+    "deg_log-a": ("series.py", "deg_exp_coeffs(LambdaPoly.var(), order, inner, 1)",
+                  "deg_exp_coeffs(LambdaPoly.var(), order, inner)"),
+    "cor15-ell-bar-power": ("umbral.py", "comp_inverse(r.f.truncate(order)), m)",
+                            "comp_inverse(r.f.truncate(order)), m - 1)"),
+    "classical-map-a": ("series.py", "deg_exp_coeffs(LambdaPoly.one(), order, inner, 0)",
+                        "deg_exp_coeffs(LambdaPoly.one(), order, inner, 1)"),
+}
+
+SUITE = """
+import sys
+import degenpoly
+from degenpoly.identities import SuiteConfig, run_suite
+assert degenpoly.__file__.startswith(sys.argv[1]), degenpoly.__file__
+print(" ".join(r.status for r in run_suite(SuiteConfig(order=8))))
+"""
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_the_suite_notices_the_mutant(tmp_path, name):
+    filename, anchor, replacement = MUTANTS[name]
+    copy = tmp_path / "degenpoly"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (copy / filename).read_text(encoding="utf-8")
+    assert source.count(anchor) == 1
+    (copy / filename).write_text(source.replace(anchor, replacement), encoding="utf-8")
+
+    run = subprocess.run(
+        [sys.executable, "-c", SUITE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    statuses = run.stdout.split()
+    assert statuses and set(statuses) != {"pass"}

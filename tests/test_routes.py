@@ -35,20 +35,37 @@ def _bumped(rows, n=2, k=1):
     return rows
 
 
-@pytest.mark.parametrize("route", [0, 1])
-@pytest.mark.parametrize("kind", TRIANGLE_KINDS)
-def test_a_wrong_triangle_entry_names_the_kind(monkeypatch, kind, route):
+def _bump_route(monkeypatch, kind, route, n):
+    """Make entry (n, 1) of one route of a triangle kind wrong."""
     spec = TRIANGLES[kind]
 
     def routes(ws):
         pair = list(spec.routes(ws))
-        pair[route] = _bumped(pair[route])
+        pair[route] = _bumped(pair[route], n=n)
         return tuple(pair)
 
     monkeypatch.setitem(TRIANGLES, kind, spec._replace(routes=routes))
+
+
+@pytest.mark.parametrize("route", [0, 1])
+@pytest.mark.parametrize("kind", TRIANGLE_KINDS)
+def test_a_wrong_triangle_entry_names_the_kind(monkeypatch, kind, route):
+    _bump_route(monkeypatch, kind, route, n=2)
     message = rf"^{kind} routes disagree at \(n=2, k=1\)"
     with pytest.raises(RouteMismatchError, match=message):
         build_triangle(kind, ORDER)
+
+
+# Both routes of these kinds reach every row.  s2 is left out: its partition
+# enumeration route stops at row 10.
+@pytest.mark.parametrize("route", [0, 1])
+@pytest.mark.parametrize("kind", ["t", "s1"])
+def test_a_wrong_entry_in_the_last_row_names_the_kind(monkeypatch, kind, route):
+    order = 12
+    _bump_route(monkeypatch, kind, route, n=order)
+    message = rf"^{kind} routes disagree at \(n={order}, k=1\)"
+    with pytest.raises(RouteMismatchError, match=message):
+        build_triangle(kind, order)
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)

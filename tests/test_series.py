@@ -80,6 +80,10 @@ class TestConstructors:
 
     def test_classical_exp(self):
         assert classical_exp(3).coeffs == (lp(1), lp(1), lp(Q(1, 2)), lp(Q(1, 6)))
+        # exp(e^t - 1) generates the Bell numbers
+        inner = classical_exp(6) - 1
+        bells = [c * factorial(n) for n, c in enumerate(classical_exp(6, inner).coeffs)]
+        assert bells == [lp(b) for b in (1, 1, 2, 5, 15, 52, 203)]
 
 
 class TestCompose:
@@ -347,7 +351,9 @@ def test_deg_exp_rejects_nonzero_constant_term_like_compose():
     lambda: deg_log(-1),
     lambda: deg_log(-1, Series.identity(4)),
     lambda: classical_exp(-1),
-], ids=["deg_exp", "deg_exp-inner", "deg_log", "deg_log-inner", "classical_exp"])
+    lambda: classical_exp(-1, Series.identity(4)),
+], ids=["deg_exp", "deg_exp-inner", "deg_log", "deg_log-inner", "classical_exp",
+        "classical_exp-inner"])
 def test_negative_order_is_refused(build):
     with pytest.raises(ValueError, match="^order must be nonnegative$"):
         build()
