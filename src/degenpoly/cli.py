@@ -91,8 +91,11 @@ def _csv_lines(fieldnames, rows) -> str:
 
 
 def _write_records(args, kind: str, order: int, parameters, fieldnames, records):
-    """Write (key, ..., value) records as one JSON document or as CSV rows;
-    fieldnames names the keys and then the value."""
+    """Write (key, ..., value) records, each value at the requested λ and x,
+    as one JSON document or as CSV rows; fieldnames names the keys and then
+    the value."""
+    x = getattr(args, "x", None)  # triangle requests take no --x
+    records = [(*keys, _specialized(value, args.lam, x)) for *keys, value in records]
     try:
         if args.format == "json":
             entries = [dict(zip(fieldnames, (*keys, render_value(value))))
@@ -108,13 +111,18 @@ def _write_records(args, kind: str, order: int, parameters, fieldnames, records)
     sys.stdout.write(text)
 
 
-def _specialized(value, lam, x=None):
+def _specialized(value, lam, x):
     """A table value or family member at the requested λ and/or x."""
     if lam is not None:
         return specialize(value, lam, x)  # scalar, or x-coefficients when x is None
     if x is not None:
         return value.eval_x(x)
     return value
+
+
+def _parameter(value):
+    """A λ or x argument as its parameters field: the rational's text, or None."""
+    return None if value is None else scalar_str(value)
 
 
 def _rational_arg(text: str):
@@ -149,24 +157,19 @@ def _build_slice(kind: str, order: int, r: int):
 
 def cmd_triangle(args) -> int:
     order = _check_order(args.order)
-    lam = args.lam
-    parameters = {
-        "kind": args.kind,
-        "order": order,
-        "lambda": None if lam is None else scalar_str(lam),
-    }
+    parameters = {"kind": args.kind, "order": order, "lambda": _parameter(args.lam)}
     if args.kind in SLICE_KINDS:
         r = 1 if args.r is None else args.r
         values = _build_slice(args.kind, order, r)
         parameters["r"] = r
         fieldnames = ("n", "value")
-        records = [(n, _specialized(value, lam)) for n, value in enumerate(values)]
+        records = list(enumerate(values))
     else:
         if args.r is not None:
             raise UsageError(f"--r only applies to kinds {'/'.join(SLICE_KINDS)}")
         triangle = _build_triangle(args.kind, order)
         fieldnames = ("n", "k", "value")
-        records = [(n, k, _specialized(triangle.entry(n, k), lam))
+        records = [(n, k, triangle.entry(n, k))
                    for n in range(order + 1) for k in range(n + 1)]
     _write_records(args, args.kind, order, parameters, fieldnames, records)
     return 0
@@ -175,14 +178,13 @@ def cmd_triangle(args) -> int:
 def cmd_poly(args) -> int:
     order = _check_order(args.order)
     family = build_family(args.family, order)
-    lam, x = args.lam, args.x
     parameters = {
         "family": args.family,
         "order": order,
-        "lambda": None if lam is None else scalar_str(lam),
-        "x": None if x is None else scalar_str(x),
+        "lambda": _parameter(args.lam),
+        "x": _parameter(args.x),
     }
-    records = [(n, _specialized(family.poly(n), lam, x)) for n in range(order + 1)]
+    records = [(n, family.poly(n)) for n in range(order + 1)]
     _write_records(args, args.family, order, parameters, ("n", "value"), records)
     return 0
 
@@ -274,7 +276,7 @@ def cmd_verify(args) -> int:
 _EVAL_RE = re.compile(r"^\s*([a-z0-9]+)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)\s*$")
 
 
-def _eval_expr(expr: str, lam, x):
+def _eval_expr(expr: str, x):
     match = _EVAL_RE.match(expr)
     if not match:
         raise UsageError(
@@ -285,7 +287,7 @@ def _eval_expr(expr: str, lam, x):
         if second is not None:
             raise UsageError(f"family {name} takes a single index, got {expr!r}")
         n = _check_order(first)
-        return _specialized(build_family(name, n).poly(n), lam, x)
+        return build_family(name, n).poly(n)
     if name not in SLICE_KINDS and name not in TRIANGLE_KINDS:
         raise UsageError(f"unknown table or family {name!r}")
     if x is not None:
@@ -295,21 +297,15 @@ def _eval_expr(expr: str, lam, x):
     if name in SLICE_KINDS:
         n, r = first, int(second)
         _check_order(n)
-        value = _build_slice(name, n, r)[n]
-    else:
-        n, k = first, int(second)
-        _check_order(n)
-        value = _build_triangle(name, n).entry(n, k)
-    return _specialized(value, lam)
+        return _build_slice(name, n, r)[n]
+    n, k = first, int(second)
+    _check_order(n)
+    return _build_triangle(name, n).entry(n, k)
 
 
 def cmd_eval(args) -> int:
-    value = _eval_expr(args.expr, args.lam, args.x)
-    parameters = {
-        "expr": args.expr,
-        "lambda": None if args.lam is None else scalar_str(args.lam),
-        "x": None if args.x is None else scalar_str(args.x),
-    }
+    value = _eval_expr(args.expr, args.x)
+    parameters = {"expr": args.expr, "lambda": _parameter(args.lam), "x": _parameter(args.x)}
     _write_records(args, "eval", 0, parameters, ("expr", "value"), [(args.expr, value)])
     return 0
 

@@ -4,7 +4,7 @@ Every identity the engine is supposed to satisfy is registered here as a
 closure that yields (label, lhs, rhs) facts over a shared workspace of
 memoized triangles, families, and sequences (the engine's ``Workspace``,
 which builds every triangle and family kind from its table, plus the
-artifacts only the checks use).
+artifacts only the checks use, each umbral matrix power among them).
 
 Most closures are built from a few shared pieces:
 
@@ -19,7 +19,7 @@ Most closures are built from a few shared pieces:
   of two others, ``_expansion_check`` a sequence with the row sums of a
   family, ``_slice_check`` a triangle with sums over number slices, and
   ``_umbral_family_check`` a family with the polynomials of r²∘fall, read
-  from the ``umbral`` layer's coefficient matrices.
+  from the workspace's product of coefficient matrices.
 
 ``run_suite`` evaluates each registered identity exactly and symbolically,
 comparing λ-polynomials / x-polynomials for structural equality. A check
@@ -90,7 +90,9 @@ class _Identity:
 
 class _Workspace(_families.Workspace):
     """The shared artifacts of one suite run: the triangles and families of
-    the engine's workspace at the suite order, plus what only the checks use."""
+    the engine's workspace at the suite order, plus what only the checks use.
+    Each umbral power and r²∘fall matrix is built here once; one side of a
+    check reads it, the other is computed without it."""
 
     def family_at_one(self, kind: str):
         """Members evaluated at x = 1 (the number sequence of the family)."""
@@ -102,6 +104,17 @@ class _Workspace(_families.Workspace):
     def seq(self, name: str, order: int):
         """A Sheffer sequence (order-capped checks request smaller orders)."""
         return self._get(("seq", name, order), lambda: _umbral.SEQUENCES[name](order))
+
+    def power(self, name: str, order: int, m: int):
+        """A sequence's m-fold umbral power matrix, built once per run."""
+        return self._get(("power", name, order, m),
+                         lambda: _umbral.umbral_power(self.seq(name, order), m))
+
+    def squared_fall(self, name: str, order: int):
+        """The coefficient matrix of r²∘fall, r the named sequence: the
+        Jindalrae polynomials for "s2", the Gaenari polynomials for "s1"."""
+        return self._get(("squared_fall", name, order), lambda: convolution_rows(
+            self.power(name, order, 2), self.seq("fall", order).matrix))
 
     def slice_table(self, kind: str, order: int):
         """Slices r = 0..order of a number-slice kind."""
@@ -231,7 +244,7 @@ def _umbral_family_check(seq: str, kind: str):
     """A check that the polynomials of r²∘fall, with r the named Sheffer
     sequence, are the members of a family kind."""
     def check(ws, order):
-        polys = _umbral.squared_composed_polys(ws.seq(seq, order), ws.seq("fall", order))
+        polys = [XPoly(row) for row in ws.squared_fall(seq, order)]
         yield from _member_facts(polys, ws.family(kind).polys, order)
     return check
 
@@ -367,19 +380,17 @@ def _check_thm14(ws, order):
             yield _matrix_fact(f"{tag} inverse of {name}", prod, ident.matrix)
 
     # power pairs regenerate the same matrices
-    for name, r in (("log", ws.seq("s2", order)), ("appell", ws.seq("appell", order))):
+    for tag, name in (("log", "s2"), ("appell", "appell")):
         for m in (2, 3):
-            regen = _umbral.sheffer_from_pair(*_umbral.power_pair(r, m), order)
-            yield _matrix_fact(
-                f"power pair {name}^({m})", _umbral.umbral_power(r, m), regen.matrix)
+            regen = _umbral.sheffer_from_pair(*_umbral.power_pair(ws.seq(name, order), m), order)
+            yield _matrix_fact(f"power pair {tag}^({m})", ws.power(name, order, m), regen.matrix)
 
 
 def _check_eq56(ws, order):
     for name in ("s2", "s1"):
-        r = ws.seq(name, order)
         for m in (2, 3):
-            explicit = _umbral.umbral_power_explicit_rows(r, m)
-            powered = _umbral.umbral_power(r, m)
+            explicit = _umbral.umbral_power_explicit_rows(ws.seq(name, order), m)
+            powered = ws.power(name, order, m)
             yield from _entry_facts(explicit, powered, order, f"{name} m={m} (n={{n}}, k={{k}})")
 
 
@@ -391,10 +402,11 @@ def _check_cor15(ws, order):
         "s1": ws.family("gaenari").polys,
     }
     for name, target in targets.items():
-        composed, lhs, rhs = _umbral.corollary15_sides(ws.seq(name, order), fall, 2, order)
-        for n in range(order + 1):
-            yield f"{name} substitution (n={n})", lhs[n], rhs[n]
-            yield f"{name} generating coefficient (n={n})", XPoly(composed[n]), target[n]
+        rhs = _umbral.corollary15_rhs(ws.seq(name, order), fall, 2, order)
+        for n, row in enumerate(ws.squared_fall(name, order)):
+            composed = XPoly(row)
+            yield f"{name} substitution (n={n})", composed * Q(1, factorial(n)), rhs[n]
+            yield f"{name} generating coefficient (n={n})", composed, target[n]
 
 
 def _check_degbound(ws, order):
@@ -448,11 +460,13 @@ _REGISTRY = (
     _Identity("eq52", "the two dual expansions of the deformed falling factorial agree", _check_eq52),
     # eq17 and classical read the partition-enumeration oracle: capped at 10,
     # not at its limit of 12, for the cost beside triangles._ORACLE_CHECK_LIMIT
-    # (about 1 s more per request at 12).
+    # (about 0.15 s more per request at 12).
     _Identity("eq17", "doubly-composed classical triangle: column one gives the Bell numbers", _check_eq17, cap=10),
     # eq19's multinomial sum reads Bell numbers from the partition enumeration
     # (limit 12). t_multinomial_rows, enumeration cache cleared, best of 3
-    # (Python 3.11.7, 2-CPU shared host): 1.4 ms at 8, 24 ms at 10, 0.96 s at 12.
+    # (Python 3.11.7, 2-CPU shared host): 1.0 ms at 8, 6.3 ms at 10, 0.17 s at 12.
+    # The caps of eq17, eq19 and classical are printed by verify, and those
+    # orders are pinned by perfbench/digests.json.
     _Identity("eq19", "doubly-composed classical triangle: convolution equals the multinomial Bell sum", _check_eq19, cap=8),
     # thm14 and eq56 uncapped at orders 16 / 24 (in-process, fresh workspace,
     # best of 3; Python 3.11.7, Fraction, 2-CPU shared host): thm14 0.34-0.39 s

@@ -4,8 +4,8 @@ These deliberately avoid the polynomial and series machinery: the point is to
 check the engine against code that shares nothing with it.
 
 * Set partitions are enumerated one by one (restricted-growth assignment of
-  elements to blocks) and counted by block count.  No Bell/Stirling formula
-  is used anywhere here.
+  elements to blocks; the last element's placements are only counted) and
+  tallied by block count.  No Bell/Stirling formula is used anywhere here.
 * Signed first-kind numbers come from literally expanding the product
   x(x-1)(x-2)...(x-n+1) over plain Python ints.
 
@@ -22,17 +22,21 @@ ORACLE_LIMIT = 12
 
 @lru_cache(maxsize=None)
 def _block_counts(n: int) -> tuple:
-    """counts[k] = number of partitions of an n-set into exactly k blocks."""
+    """counts[k] = number of partitions of an n-set into exactly k blocks.
+    The partitions of the first n - 1 elements are visited one by one, and
+    the last element's placements counted: it joins one of the ``used``
+    blocks of such a partition or opens one more."""
     if n > ORACLE_LIMIT:
         raise ValueError(f"enumeration oracle capped at n <= {ORACLE_LIMIT}")
     counts = [0] * (n + 1)
-    if n == 0:
-        counts[0] = 1
+    if n <= 1:
+        counts[n] = 1
         return tuple(counts)
 
     def place(element: int, used: int) -> None:
-        if element == n:
-            counts[used] += 1
+        if element == n - 1:
+            counts[used] += used
+            counts[used + 1] += 1
             return
         for _ in range(used):
             place(element + 1, used)

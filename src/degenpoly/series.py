@@ -9,7 +9,7 @@ inversion simple.
 Every generating series in t has λ-polynomial coefficients; polynomials in x
 are only the values a series generates.  The family route reads them from
 ``deg_exp_coeffs`` with the exponent x, and Corollary 15 one power of x at a
-time (``umbral.corollary15_sides``).  Binary operations truncate to the
+time (``umbral.corollary15_rhs``).  Binary operations truncate to the
 minimum operand order, since composition pipelines naturally lose order and
 callers pin orders explicitly.  Each coefficient of a product or of
 ``mul_inverse`` is one dot product, a single ``algebra.lp_dot`` call; each

@@ -43,10 +43,10 @@ from .series import DELTA_MAPS, Series, compose, mul_inverse, powers
 
 # The λ = 0 rows of s2 are checked against the partition enumeration up to
 # n = 10, not to oracles.ORACLE_LIMIT = 12, for cost. Enumerating the
-# partitions of an n-set (oracles._block_counts, cache cleared; Python 3.11.7,
-# 2-CPU shared host, five runs each) took 0.03-0.04 s at n = 10, 0.10-0.21 s
-# at 11 and 0.8-1.3 s at 12, which every `triangle --kind s2 --order >= 12`
-# request would pay.
+# partitions of every set up to n elements (oracles._block_counts, fresh
+# process; Python 3.11.7, 2-CPU shared host, five runs each) took 4-7 ms to
+# n = 10, 0.02-0.03 s to 11 and 0.15-0.18 s to 12, which every
+# `triangle --kind s2 --order >= 12` request would pay.
 _ORACLE_CHECK_LIMIT = 10
 
 

@@ -23,7 +23,8 @@ with s's matrix is the identity only if s's matrix is that array.
 Umbral composition of two sequences is the product of their coefficient
 matrices, and the m-fold power of a sequence the m-th power of its matrix:
 ``umbral_compose`` and ``umbral_power`` return those matrices and build no
-pair.  The eq56, eq60, eq66 and cor15 checks read only these matrices.
+pair.  The eq56, eq60, eq66 and cor15 checks read only these matrices; the
+suite's workspace builds each power once, for them and thm14's power pairs.
 
 The group law on pairs is a separate statement: ``compose_pair`` and
 ``power_pair`` predict the (g, f) pair of a composition and of an m-fold
@@ -153,14 +154,9 @@ SEQUENCES = {
 def umbral_compose(q: ShefferSeq, p: ShefferSeq) -> tuple:
     """The coefficient matrix of q∘p (p's polynomials substituted into q's
     coefficient expansion): the product of q's and p's matrices."""
-    return _composed(q.matrix, p)
-
-
-def _composed(matrix, p: ShefferSeq) -> tuple:
-    """The matrix product of a sequence's coefficient matrix and p's."""
-    if len(matrix) != len(p.matrix):
-        raise ValueError(f"order mismatch: {len(matrix) - 1} vs {p.order}")
-    return tuple(tuple(row) for row in convolution_rows(matrix, p.matrix))
+    if q.order != p.order:
+        raise ValueError(f"order mismatch: {q.order} vs {p.order}")
+    return tuple(tuple(row) for row in convolution_rows(q.matrix, p.matrix))
 
 
 def umbral_power(r: ShefferSeq, m: int) -> tuple:
@@ -224,33 +220,19 @@ def group_inverse(s: ShefferSeq) -> ShefferSeq:
     return sheffer_from_pair(g, fbar, s.order)
 
 
-def squared_composed_polys(r: ShefferSeq, fall: ShefferSeq) -> tuple:
-    """The polynomials of r²∘fall: the Jindalrae polynomials when r is the
-    second-kind sequence and fall the deformed falling factorials, the
-    Gaenari polynomials when r is the first-kind sequence."""
-    return tuple(XPoly(row) for row in _composed(umbral_power(r, 2), fall))
-
-
-def corollary15_sides(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
-    """The two series Corollary 15 equates, truncated at order (or at the
-    sequences' order, if lower): the generating series of r^m∘s, and s's
-    generating series with the m-fold compositional power ℓbar of the inverse
-    of r's delta series substituted.  Returns the coefficient matrix of r^m∘s
-    and the sides (lhs, rhs) as their coefficients of t^0..t^order, each a
-    polynomial in x.
-
-    The right-hand side is one Riordan product: [x^k][t^n] of it is
+def corollary15_rhs(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
+    """Corollary 15's right side at t^0..t^order (capped at the sequences'
+    order), each coefficient a polynomial in x: s's generating series with ℓbar,
+    the m-fold compositional power of the inverse of r's delta series,
+    substituted.  It is one Riordan product: [x^k][t^n] of it is
     Σⱼ s[j][k]/j!·[t^n] ℓbarʲ, row n of the product of ℓbar's
-    ``egf_triangle_rows`` with s's matrix, scaled by 1/n!."""
+    ``egf_triangle_rows`` with s's matrix, scaled by 1/n!.  The left side,
+    r^m∘s's generating series, reads the matrix ``umbral_power(r, m)``·s."""
     if r.g != Series.one(r.g.order):
         raise ValueError("r must be an associated sequence (unit invertible part)")
     if m < 1:
         raise ValueError("m must be >= 1")
     order = min(order, r.order, s.order)
-    composed = _composed(umbral_power(r, m), s)
-    lhs = [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(composed[:order + 1])]
     ell_bar = compositional_power(comp_inverse(r.f.truncate(order)), m)
     rows = convolution_rows(egf_triangle_rows(ell_bar, order), s.matrix[:order + 1])
-    rhs = [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(rows)]
-    return composed, lhs, rhs
-
+    return [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(rows)]

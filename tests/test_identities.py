@@ -2,6 +2,7 @@
 
 import pytest
 
+from degenpoly import umbral
 from degenpoly.algebra import LambdaPoly, XPoly
 from degenpoly.identities import (
     CheckResult,
@@ -110,6 +111,25 @@ class TestLambdaOneDegeneration:
         # a symbolic pass holds at λ = 1 as at every λ
         config = SuiteConfig(order=4)
         assert all(r.passed for r in run_suite(config))
+
+
+class TestSharedUmbralProducts:
+    def test_each_power_is_built_once(self, monkeypatch):
+        # 9 distinct (sequence, order, m) powers: thm14's 4 and eq56's 4 at
+        # order 10 share s2^2 and s2^3, cor15 adds ident^2 and reuses s2^2,
+        # s1^2; eq60/eq66 read s2^2 and s1^2 at order 12
+        built = []
+        real = umbral.umbral_power
+
+        def counted(r, m):
+            built.append((id(r), m))
+            return real(r, m)
+
+        monkeypatch.setattr(umbral, "umbral_power", counted)
+        umbral_checks = ("thm14", "eq56", "eq60", "eq66", "cor15")
+        results = run_suite(SuiteConfig(order=12, identity_filter=umbral_checks))
+        assert all(r.passed for r in results)
+        assert len(built) == len(set(built)) == 9
 
 
 def _patch_check(monkeypatch, identity_id, fn):

@@ -6,8 +6,10 @@ The two routes of a kind often share kernels (``lp_dot``, ``powers``,
 ``egf_triangle_rows``, ``deg_exp_coeffs``), so a bug in one of them can make
 both routes wrong alike; the route check then stays quiet, and only an
 identity that reads the kernel through an independent statement can catch
-it.  Each row names the file, a source line fragment found there exactly
-once, and the fragment that replaces it.
+it.  The suite's shared workspace products (an umbral power, r²∘fall) are
+mutated the same way: each is read by one side of several checks.  Each row
+names the file, a source line fragment found there exactly once, and the
+fragment that replaces it.
 """
 
 import os
@@ -23,16 +25,23 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "degenpoly"
 MUTANTS = {
     "lp_dot-rescale": ("algebra.py", "y = [c * scale for c in y]", "y = [c for c in y]"),
     "lp_conv-reversed": ("algebra.py", "reversed(b[: k + 1])", "b[: k + 1]"),
+    "lp_conv-drops-a-term": ("algebra.py", "reversed(b[: k + 1])))", "reversed(b[1: k + 1])))"),
+    "substitution-skips-k2": ("series.py", "lp_dot(zip(outer.coeffs, column))",
+                              "lp_dot(p for k, p in enumerate(zip(outer.coeffs, column)) if k != 2)"),
     "basis-change-weight": ("triangles.py", "(target_step * n - basis_step * k)",
                             "(target_step * (n + 1) - basis_step * k)"),
     "chain-sum": ("umbral.py", "if i >= k)", "if i > k)"),
     "forward-substitution": ("umbral.py", "for m in range(k, n)", "for m in range(k, n - 1)"),
+    "umbral-power-square": ("umbral.py", "matrix = convolution_rows(matrix, r.matrix)",
+                            "matrix = convolution_rows(r.matrix, r.matrix)"),
     "power-pair": ("umbral.py", "g, f = r.g * of_ell(g), of_ell(f)",
                    "g, f = of_ell(g), of_ell(f)"),
     "deg_log-a": ("series.py", "deg_exp_coeffs(LambdaPoly.var(), order, inner, 1)",
                   "deg_exp_coeffs(LambdaPoly.var(), order, inner)"),
     "cor15-ell-bar-power": ("umbral.py", "comp_inverse(r.f.truncate(order)), m)",
                             "comp_inverse(r.f.truncate(order)), m - 1)"),
+    "squared-fall-times-ident": ("identities.py", 'self.seq("fall", order).matrix',
+                                 'self.seq("ident", order).matrix'),
     "classical-map-a": ("series.py", "deg_exp_coeffs(LambdaPoly.one(), order, inner, 0)",
                         "deg_exp_coeffs(LambdaPoly.one(), order, inner, 1)"),
 }

@@ -4,6 +4,7 @@ import pytest
 
 from degenpoly.oracles import (
     ORACLE_LIMIT,
+    _block_counts,
     bell_number_classical,
     partition_oracle,
     signed_cycle_oracle,
@@ -11,6 +12,26 @@ from degenpoly.oracles import (
 
 # n = 0..10, counted by enumerating every partition
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
+
+
+def visited_block_counts(n):
+    """counts[k] for an n-set, by visiting every partition, the last
+    element's placements included."""
+    counts = [0] * (n + 1)
+    if n == 0:
+        counts[0] = 1
+        return tuple(counts)
+
+    def place(element, used):
+        if element == n:
+            counts[used] += 1
+            return
+        for _ in range(used):
+            place(element + 1, used)
+        place(element + 1, used + 1)
+
+    place(1, 1)
+    return tuple(counts)
 
 
 class TestPartitionOracle:
@@ -31,6 +52,10 @@ class TestPartitionOracle:
 
     def test_too_many_blocks(self):
         assert partition_oracle(3, 5) == 0
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_counting_the_last_placements_matches_visiting_them(self, n):
+        assert _block_counts(n) == visited_block_counts(n)
 
     def test_limit_enforced(self):
         with pytest.raises(ValueError):

@@ -26,11 +26,10 @@ from degenpoly.triangles import (
 from degenpoly.umbral import (
     SEQUENCES,
     compose_pair,
-    corollary15_sides,
+    corollary15_rhs,
     group_inverse,
     power_pair,
     sheffer_from_pair,
-    squared_composed_polys,
     umbral_compose,
     umbral_power,
     umbral_power_explicit_rows,
@@ -48,6 +47,17 @@ def generating_identity_rows(g, f, order):
     g, f = g.truncate(order), f.truncate(order)
     fbar = comp_inverse(f)
     return egf_triangle_rows(fbar, order, mul_inverse(compose(g, fbar)))
+
+
+def composed_polys(r, s, m=2):
+    """The polynomials of r^m∘s: r's matrix to the m-th power times s's."""
+    return tuple(XPoly(row) for row in convolution_rows(umbral_power(r, m), s.matrix))
+
+
+def corollary15_lhs(r, s, m):
+    """Corollary 15's left side: the generating series of r^m∘s, as its
+    coefficients of t^0..t^order."""
+    return [p * (QONE / factorial(n)) for n, p in enumerate(composed_polys(r, s, m))]
 
 
 def product_loop_rows(r, m):
@@ -219,7 +229,7 @@ class TestPowers:
         monkeypatch.setattr(umbral, "compositional_power", refuse)
         assert rows_mismatch(umbral_power(log_seq, 3), explicit) is None
         assert umbral_compose(log_seq, exp_seq) == ident.matrix
-        assert squared_composed_polys(log_seq, fall_seq) == direct
+        assert composed_polys(log_seq, fall_seq) == direct
 
 
 def _count_maps(monkeypatch):
@@ -281,28 +291,25 @@ class TestFamilyRoutes:
     )
     def test_matches_direct(self, request, fall_seq, name, family):
         r = request.getfixturevalue(name)
-        assert squared_composed_polys(r, fall_seq) == build_family(family, N).polys
+        assert composed_polys(r, fall_seq) == build_family(family, N).polys
 
 
 class TestCorollary15:
     def test_trivial_substitution(self, ident, fall_seq):
         for m in (2, 3):
-            _, lhs, rhs = corollary15_sides(ident, fall_seq, m, N)
-            assert lhs == rhs
+            assert corollary15_lhs(ident, fall_seq, m) == corollary15_rhs(ident, fall_seq, m, N)
 
     def test_jindalrae_substitution(self, log_seq, fall_seq):
-        _, lhs, rhs = corollary15_sides(log_seq, fall_seq, 2, N)
-        assert lhs == rhs
+        assert corollary15_lhs(log_seq, fall_seq, 2) == corollary15_rhs(log_seq, fall_seq, 2, N)
 
     def test_gaenari_substitution(self, exp_seq, fall_seq):
-        _, lhs, rhs = corollary15_sides(exp_seq, fall_seq, 2, N)
-        assert lhs == rhs
+        assert corollary15_lhs(exp_seq, fall_seq, 2) == corollary15_rhs(exp_seq, fall_seq, 2, N)
 
     def test_substituted_generating_series_is_the_family_series(self, log_seq, fall_seq):
         em1 = deg_exp(1, N) - 1
         direct = horner(deg_exp_x(N), compose(em1, em1))
         assert [c * factorial(n) for n, c in enumerate(direct)] == list(
-            squared_composed_polys(log_seq, fall_seq))
+            composed_polys(log_seq, fall_seq))
 
     @pytest.mark.parametrize("order", [1, 5, 8])
     @pytest.mark.parametrize("m", [2, 3])
@@ -311,14 +318,14 @@ class TestCorollary15:
         # the right-hand side as one x-coefficient Horner substitution of s's
         # whole generating series, independent of the Riordan product
         r = request.getfixturevalue(name)
-        _, _, rhs = corollary15_sides(r, fall_seq, m, order)
+        rhs = corollary15_rhs(r, fall_seq, m, order)
         ell_bar = compositional_power(comp_inverse(r.f.truncate(order)), m)
         s_egf = [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(fall_seq.matrix)]
         assert rhs == horner(s_egf[:order + 1], ell_bar)
 
     def test_requires_associated_r(self, appell_seq, fall_seq):
         with pytest.raises(ValueError, match="associated"):
-            corollary15_sides(appell_seq, fall_seq, 2, N)
+            corollary15_rhs(appell_seq, fall_seq, 2, N)
 
     def test_inverse_of_composed_map_is_swapped_inverse_chain(self, fall_seq, log_seq, exp_seq):
         # the inverse of ℓ^m(f(t)) is fbar(ℓbar^m(t)), checked as a property
