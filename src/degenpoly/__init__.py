@@ -45,7 +45,7 @@ _LAZY = {
     "umbral": (
         "SEQUENCES",
         "ShefferSeq",
-        "group_inverse",
+        "inverse_pair",
         "sheffer_from_pair",
         "umbral_compose",
         "umbral_power",

@@ -39,10 +39,10 @@ from .scalars import as_scalar, is_scalar, scalar_str
 from .triangles import SLICE_KINDS, SLICES, TRIANGLE_KINDS, build_triangle
 
 # What the limit costs, one process per request (best of 10; Python 3.11.7,
-# Fraction scalars, 2-CPU shared Linux host): poly --order 24 takes 0.19 s
-# (degbell), 0.20 s (newbell), 0.21 s (jindalrae) and 0.24 s (gaenari);
-# triangle --order 24 of j1deg/j2deg takes 0.16/0.16 s; verify --order 24
-# (the 38 default checks, symbolic only, default table output) takes 1.11 s.
+# Fraction scalars, 2-CPU shared Linux host): poly --order 24 takes 0.13 s
+# (degbell), 0.11 s (newbell), 0.14 s (jindalrae) and 0.15 s (gaenari);
+# triangle --order 24 of j1deg/j2deg takes 0.12/0.11 s; verify --order 24
+# (the 38 default checks, symbolic only, default table output) takes 0.67 s.
 MAX_ORDER = 24
 
 

@@ -357,6 +357,17 @@ def _check_thm14(ws, order):
     yield from _entry_facts(
         ident.matrix, _identity_rows(order), order, "identity pair (n={n}, k={k})")
 
+    # each distinct predicted pair is regenerated once; the dict holds
+    # regenerations only, never a workspace sequence, so no fact reads one
+    # matrix on both sides
+    regenerated = {}
+
+    def regen(g, f):
+        key = (g.coeffs[: order + 1], f.coeffs[: order + 1])
+        if key not in regenerated:
+            regenerated[key] = _umbral.sheffer_from_pair(g, f, order)
+        return regenerated[key]
+
     named = [
         ("t", ident),
         ("exp", ws.seq("s1", order)),
@@ -365,14 +376,13 @@ def _check_thm14(ws, order):
     ]
     for qname, q in named:
         for pname, p in named:
-            regen = _umbral.sheffer_from_pair(*_umbral.compose_pair(q, p), order)
-            yield _matrix_fact(
-                f"group law {qname}∘{pname}", _umbral.umbral_compose(q, p), regen.matrix)
+            yield _matrix_fact(f"group law {qname}∘{pname}", _umbral.umbral_compose(q, p),
+                               regen(*_umbral.compose_pair(q, p)).matrix)
 
     # s's matrix inverts its Riordan array [g, f]; inv's inverts the array of
     # (1/g(fbar), fbar), so s∘inv = I checks s's generating identity
     for name, s in named:
-        inv = _umbral.group_inverse(s)
+        inv = regen(*_umbral.inverse_pair(s))
         for tag, prod in (
             ("right", _umbral.umbral_compose(s, inv)),
             ("left", _umbral.umbral_compose(inv, s)),
@@ -382,8 +392,8 @@ def _check_thm14(ws, order):
     # power pairs regenerate the same matrices
     for tag, name in (("log", "s2"), ("appell", "appell")):
         for m in (2, 3):
-            regen = _umbral.sheffer_from_pair(*_umbral.power_pair(ws.seq(name, order), m), order)
-            yield _matrix_fact(f"power pair {tag}^({m})", ws.power(name, order, m), regen.matrix)
+            yield _matrix_fact(f"power pair {tag}^({m})", ws.power(name, order, m),
+                               regen(*_umbral.power_pair(ws.seq(name, order), m)).matrix)
 
 
 def _check_eq56(ws, order):
@@ -469,8 +479,10 @@ _REGISTRY = (
     # orders are pinned by perfbench/digests.json.
     _Identity("eq19", "doubly-composed classical triangle: convolution equals the multinomial Bell sum", _check_eq19, cap=8),
     # thm14 and eq56 uncapped at orders 16 / 24 (in-process, fresh workspace,
-    # best of 3; Python 3.11.7, Fraction, 2-CPU shared host): thm14 0.34-0.39 s
-    # / 1.4-2.1 s, eq56 0.10-0.11 s / 0.38-0.69 s.
+    # best of 3 in each of three processes; Python 3.11.7, Fraction, 2-CPU
+    # shared host): thm14 0.17-0.22 s / 0.79-1.18 s, with its 14 distinct
+    # regenerated pairs (0.26 s / 1.13 s when it rebuilt all 24), eq56
+    # 0.05-0.07 s / 0.36 s.
     _Identity("thm14", "umbral composition group law, identity, inverses, and power pairs", _check_thm14, cap=10),
     _Identity("eq56", "umbral powers equal the explicit multi-index coefficient sums", _check_eq56, cap=10),
     _Identity("eq60", "Jindalrae polynomials via the squared second-kind sequence", _umbral_family_check("s2", "jindalrae")),

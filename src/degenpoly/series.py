@@ -12,7 +12,9 @@ are only the values a series generates.  The family route reads them from
 time (``umbral.corollary15_rhs``).  Binary operations truncate to the
 minimum operand order, since composition pipelines naturally lose order and
 callers pin orders explicitly.  Each coefficient of a product or of
-``mul_inverse`` is one dot product, a single ``algebra.lp_dot`` call; each
+``mul_inverse`` is one dot product, a single ``algebra.lp_dot`` call, except
+that a product computes none below the sum of its operands' valuations (so
+the power g·f^k of a delta series f skips its k leading zeros); each
 step of the ``deg_exp_coeffs`` recurrence is two (``xp_dot`` for the
 exponent x).
 
@@ -142,8 +144,14 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        return Series([lp_conv(a, b, k) for k in range(self._common(other) + 1)])
+        # every coefficient below the sum of the valuations is zero: convolve
+        # the operands from their first nonzero coefficients
+        va, vb = _valuation(self.coeffs), _valuation(other.coeffs)
+        start = va + vb
+        a, b = self.coeffs[va:], other.coeffs[vb:]
+        n = self._common(other)
+        return Series([LambdaPoly.zero()] * min(start, n + 1)
+                      + [lp_conv(a, b, k - start) for k in range(start, n + 1)])
 
     __rmul__ = __mul__
 
@@ -151,6 +159,11 @@ class Series:
         inner = ", ".join(str(c) for c in self.coeffs[:5])
         tail = ", ..." if self.order >= 5 else ""
         return f"Series(order={self.order}; {inner}{tail})"
+
+
+def _valuation(coeffs) -> int:
+    """The index of the first nonzero coefficient; len(coeffs) for zero."""
+    return next((i for i, c in enumerate(coeffs) if c), len(coeffs))
 
 
 def deg_exp(exponent, order: int, inner: Series | None = None) -> Series:

@@ -138,7 +138,7 @@ def egf_triangle_rows(f: Series, order: int, prefactor: Series | None = None):
     rows = [[] for _ in range(order + 1)]
     for k, power in enumerate(powers(start, f, order)):
         for n in range(k, order + 1):
-            rows[n].append(power.coeffs[n] * Q(facts[n], facts[k]))
+            rows[n].append(power.coeffs[n] * (facts[n] // facts[k]))
     return rows
 
 

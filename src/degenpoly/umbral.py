@@ -16,9 +16,10 @@ The generating identity
 
 where fbar is the compositional inverse of f, says that the same matrix is
 the Riordan array of the inverse pair (1/g(fbar), fbar).  The thm14 check's
-inverse facts test exactly that: ``group_inverse`` builds the sequence of
-that pair, whose matrix is the inverse of its Riordan array, and its product
-with s's matrix is the identity only if s's matrix is that array.
+inverse facts test exactly that: ``inverse_pair`` predicts that pair, the
+sequence built from it has the inverse of its Riordan array as matrix, and
+that matrix's product with s's is the identity only if s's matrix is that
+array.
 
 Umbral composition of two sequences is the product of their coefficient
 matrices, and the m-fold power of a sequence the m-th power of its matrix:
@@ -26,20 +27,25 @@ matrices, and the m-fold power of a sequence the m-th power of its matrix:
 pair.  The eq56, eq60, eq66 and cor15 checks read only these matrices; the
 suite's workspace builds each power once, for them and thm14's power pairs.
 
-The group law on pairs is a separate statement: ``compose_pair`` and
-``power_pair`` predict the (g, f) pair of a composition and of an m-fold
-power, and only the thm14 check reads them, regenerating each predicted pair
-with ``sheffer_from_pair`` and comparing its matrix with the matrix product.
+The group law on pairs is a separate statement: ``compose_pair``,
+``power_pair`` and ``inverse_pair`` predict the (g, f) pair of a
+composition, of an m-fold power and of the inverse, and only the thm14 check
+reads them.  It regenerates each distinct predicted pair once with
+``sheffer_from_pair`` and compares the matrix with the matrix product.
 
-The power pair is m - 1 group-law steps r^i = r^(i-1)∘r: with r's pair
-(h, ℓ) each maps (g, f) to (h·g(ℓ), f(ℓ)), all through one ``substitution``
-of ℓ, which gives (h^m, t) for Appell and (1, ℓ^m) for associated sequences.
-``group_inverse`` builds the sequence of the inverse pair (1/g(fbar), fbar).
+A sequence owns the two series maps its predictions read, each built on
+first use and then kept: ``of_f``, the substitution outer -> outer(f), and
+``fbar``, the compositional inverse of f.  ``compose_pair(q, p)`` reads
+p's map, ``power_pair`` and ``inverse_pair`` the sequence's own, and
+``corollary15_rhs`` r's fbar.  The power pair is m - 1 group-law steps
+r^i = r^(i-1)∘r: with r's pair (h, ℓ) each maps (g, f) to (h·g(ℓ), f(ℓ)),
+which gives (h^m, t) for Appell and (1, ℓ^m) for associated sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 from .algebra import LambdaPoly, XPoly, falling_products, lp_dot
@@ -74,6 +80,18 @@ class ShefferSeq:
 
     def polys(self):
         return tuple(XPoly(row) for row in self.matrix)
+
+    # Built on first use and kept on the instance: neither is a field, so
+    # equality and hashing see only the pair, the order and the matrix.
+    @cached_property
+    def of_f(self):
+        """The map outer -> outer(f), for the group law's pair predictions."""
+        return substitution(self.f)
+
+    @cached_property
+    def fbar(self) -> Series:
+        """The compositional inverse of f."""
+        return comp_inverse(self.f)
 
 
 def sheffer_from_pair(g: Series, f: Series, order: int) -> ShefferSeq:
@@ -172,16 +190,15 @@ def umbral_power(r: ShefferSeq, m: int) -> tuple:
 
 def compose_pair(q: ShefferSeq, p: ShefferSeq):
     """The pair of q∘p by the group law: (p.g * q.g(p.f), q.f(p.f))."""
-    of_pf = substitution(p.f)
-    return p.g * of_pf(q.g), of_pf(q.f)
+    return p.g * p.of_f(q.g), p.of_f(q.f)
 
 
 def power_pair(r: ShefferSeq, m: int):
     """The pair of the m-fold umbral power: m - 1 group-law steps
-    (g, f) -> (r.g·g(ℓ), f(ℓ)) through one substitution of ℓ = r.f."""
+    (g, f) -> (r.g·g(ℓ), f(ℓ)) through r's one substitution of ℓ = r.f."""
     if m < 1:
         raise ValueError("umbral power needs m >= 1")
-    of_ell = substitution(r.f)
+    of_ell = r.of_f
     g, f = r.g, r.f
     for _ in range(m - 1):
         g, f = r.g * of_ell(g), of_ell(f)
@@ -210,14 +227,12 @@ def umbral_power_explicit_rows(r: ShefferSeq, m: int):
     return rows
 
 
-def group_inverse(s: ShefferSeq) -> ShefferSeq:
-    """The umbral-composition inverse: the sequence of s's inverse pair
-    (1/g(fbar), fbar), fbar the compositional inverse of f; for g = 1 the
-    first member is 1 and nothing is composed."""
-    fbar = comp_inverse(s.f)
+def inverse_pair(s: ShefferSeq):
+    """The pair of s's umbral-composition inverse: (1/g(fbar), fbar), fbar
+    the compositional inverse of f; for g = 1 the first member is 1 and
+    nothing is composed."""
     one = Series.one(s.g.order)
-    g = one if s.g == one else mul_inverse(compose(s.g, fbar))
-    return sheffer_from_pair(g, fbar, s.order)
+    return (one if s.g == one else mul_inverse(compose(s.g, s.fbar))), s.fbar
 
 
 def corollary15_rhs(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
@@ -233,6 +248,6 @@ def corollary15_rhs(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
     if m < 1:
         raise ValueError("m must be >= 1")
     order = min(order, r.order, s.order)
-    ell_bar = compositional_power(comp_inverse(r.f.truncate(order)), m)
+    ell_bar = compositional_power(r.fbar.truncate(order), m)
     rows = convolution_rows(egf_triangle_rows(ell_bar, order), s.matrix[:order + 1])
     return [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(rows)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from degenpoly import umbral
+from degenpoly import series, umbral
 from degenpoly.algebra import LambdaPoly, XPoly
 from degenpoly.identities import (
     CheckResult,
@@ -130,6 +130,28 @@ class TestSharedUmbralProducts:
         results = run_suite(SuiteConfig(order=12, identity_filter=umbral_checks))
         assert all(r.passed for r in results)
         assert len(built) == len(set(built)) == 9
+
+    def test_each_pair_and_map_is_built_once(self, monkeypatch):
+        # 22 pair builds: the workspace's ident, s1, s2, appell and fall at
+        # order 10 and s2, s1, fall at 12, plus thm14's 14 distinct predicted
+        # pairs among its 24; 8 maps: of_f of thm14's 4 sequences, appell's
+        # inverse pair composing g with fbar, and cor15's 3 powers of ℓbar
+        pairs, maps = [], []
+        real_pair, real_map = umbral.sheffer_from_pair, series.substitution
+
+        def counted_pair(g, f, order):
+            pairs.append(order)
+            return real_pair(g, f, order)
+
+        def counted_map(u):
+            maps.append(u)
+            return real_map(u)
+
+        monkeypatch.setattr(umbral, "sheffer_from_pair", counted_pair)
+        for module in (series, umbral):
+            monkeypatch.setattr(module, "substitution", counted_map)
+        assert all(r.passed for r in run_suite(SuiteConfig(order=12)))
+        assert (len(pairs), len(maps)) == (22, 8)
 
 
 def _patch_check(monkeypatch, identity_id, fn):

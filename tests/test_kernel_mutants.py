@@ -2,14 +2,15 @@
 package, and the identity suite at order 8 must notice (some check is not
 "pass").
 
-The two routes of a kind often share kernels (``lp_dot``, ``powers``,
-``egf_triangle_rows``, ``deg_exp_coeffs``), so a bug in one of them can make
-both routes wrong alike; the route check then stays quiet, and only an
-identity that reads the kernel through an independent statement can catch
-it.  The suite's shared workspace products (an umbral power, r²∘fall) are
-mutated the same way: each is read by one side of several checks.  Each row
-names the file, a source line fragment found there exactly once, and the
-fragment that replaces it.
+The two routes of a kind often share kernels (``lp_dot``, the series
+product, ``powers``, ``egf_triangle_rows``, ``deg_exp_coeffs``), so a bug in
+one of them can make both routes wrong alike; the route check then stays
+quiet, and only an identity that reads the kernel through an independent
+statement can catch it.  The suite's shared workspace products (an umbral
+power, r²∘fall) are mutated the same way: each is read by one side of
+several checks.  So is the key of thm14's regenerated pairs, which must
+tell every predicted pair apart.  Each row names the file, a source line
+fragment found there exactly once, and the fragment that replaces it.
 """
 
 import os
@@ -26,6 +27,7 @@ MUTANTS = {
     "lp_dot-rescale": ("algebra.py", "y = [c * scale for c in y]", "y = [c for c in y]"),
     "lp_conv-reversed": ("algebra.py", "reversed(b[: k + 1])", "b[: k + 1]"),
     "lp_conv-drops-a-term": ("algebra.py", "reversed(b[: k + 1])))", "reversed(b[1: k + 1])))"),
+    "series-mul-valuation": ("series.py", "start = va + vb", "start = va + vb + 1"),
     "substitution-skips-k2": ("series.py", "lp_dot(zip(outer.coeffs, column))",
                               "lp_dot(p for k, p in enumerate(zip(outer.coeffs, column)) if k != 2)"),
     "basis-change-weight": ("triangles.py", "(target_step * n - basis_step * k)",
@@ -38,10 +40,13 @@ MUTANTS = {
                    "g, f = of_ell(g), of_ell(f)"),
     "deg_log-a": ("series.py", "deg_exp_coeffs(LambdaPoly.var(), order, inner, 1)",
                   "deg_exp_coeffs(LambdaPoly.var(), order, inner)"),
-    "cor15-ell-bar-power": ("umbral.py", "comp_inverse(r.f.truncate(order)), m)",
-                            "comp_inverse(r.f.truncate(order)), m - 1)"),
+    "cor15-ell-bar-power": ("umbral.py", "r.fbar.truncate(order), m)",
+                            "r.fbar.truncate(order), m - 1)"),
     "squared-fall-times-ident": ("identities.py", 'self.seq("fall", order).matrix',
                                  'self.seq("ident", order).matrix'),
+    "thm14-regeneration-key": ("identities.py",
+                               "key = (g.coeffs[: order + 1], f.coeffs[: order + 1])",
+                               "key = f.coeffs[: order + 1]"),
     "classical-map-a": ("series.py", "deg_exp_coeffs(LambdaPoly.one(), order, inner, 0)",
                         "deg_exp_coeffs(LambdaPoly.one(), order, inner, 1)"),
 }

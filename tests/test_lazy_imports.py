@@ -30,7 +30,7 @@ PACKAGE_NAMES = [
     "Triangle", "UnknownIdentityError", "XPoly", "algebra", "bell_number_classical",
     "build_family", "build_triangle", "classical_exp", "comp_inverse", "compose",
     "compositional_power", "deg_exp", "deg_log", "describe_identities", "families",
-    "group_inverse", "identities", "identity_ids", "mul_inverse", "oracles",
+    "identities", "identity_ids", "inverse_pair", "mul_inverse", "oracles",
     "partition_oracle", "run_suite", "scalars", "series", "sheffer_from_pair",
     "signed_cycle_oracle", "specialize", "triangles", "umbral", "umbral_compose",
     "umbral_power",

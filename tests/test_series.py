@@ -3,9 +3,9 @@
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from degenpoly.algebra import LambdaPoly, XPoly, falling_products, specialize
+from degenpoly.algebra import LambdaPoly, XPoly, falling_products, lp_conv, specialize
 from degenpoly.scalars import Q
 from degenpoly.series import (
     Series,
@@ -255,6 +255,33 @@ def test_comp_inverse_matches_order_by_order_solver(lead, f):
 @given(delta_series(8).map(lambda f: f + 1))
 def test_random_unit_mul_inverse(f):
     assert f * mul_inverse(f) == Series.one(8)
+
+
+@st.composite
+def leading_zero_series(draw):
+    """Series of order 0..10 with 0..order+1 leading zero coefficients (all
+    of them: the zero series), the rest λ-polynomials that may be zero."""
+    order = draw(st.integers(min_value=0, max_value=10))
+    zeros = draw(st.integers(min_value=0, max_value=order + 1))
+    size = order + 1 - zeros
+    tail = draw(st.lists(small_lambda_poly, min_size=size, max_size=size))
+    return Series([LambdaPoly.zero()] * zeros + tail)
+
+
+def per_coefficient_product(a, b):
+    """The product as ``Series.__mul__`` computed it before it skipped the
+    coefficients below its operands' valuations: one ``lp_conv`` for every
+    coefficient up to the lower order."""
+    return Series([lp_conv(a.coeffs, b.coeffs, k) for k in range(min(a.order, b.order) + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(leading_zero_series(), leading_zero_series())
+@example(Series([0] * 5), deg_log(7))
+@example(deg_log(3) * deg_log(3), deg_exp(1, 9) - 1)
+def test_product_matches_the_per_coefficient_oracle(a, b):
+    assert a * b == per_coefficient_product(a, b)
+    assert b * a == per_coefficient_product(b, a)
 
 
 @st.composite

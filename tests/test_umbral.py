@@ -27,7 +27,7 @@ from degenpoly.umbral import (
     SEQUENCES,
     compose_pair,
     corollary15_rhs,
-    group_inverse,
+    inverse_pair,
     power_pair,
     sheffer_from_pair,
     umbral_compose,
@@ -168,7 +168,7 @@ class TestGroup:
 
     def test_inverse_law(self, ident, log_seq, exp_seq, appell_seq):
         for s in (log_seq, exp_seq, appell_seq):
-            inv = group_inverse(s)
+            inv = sheffer_from_pair(*inverse_pair(s), N)
             for q, p in ((s, inv), (inv, s)):
                 assert rows_mismatch(umbral_compose(q, p), ident.matrix) is None
                 regenerated = sheffer_from_pair(*compose_pair(q, p), N)
@@ -249,10 +249,13 @@ def _count_maps(monkeypatch):
 
 class TestPairCost:
     @pytest.mark.parametrize("name", ["log_seq", "appell_seq"])
-    def test_power_pair_builds_one_map(self, request, monkeypatch, name):
-        r = request.getfixturevalue(name)
+    def test_power_pair_builds_one_map(self, monkeypatch, exp_seq, name):
+        # a fresh sequence: a shared fixture may already hold its map
+        r = SEQUENCES[{"log_seq": "s2", "appell_seq": "appell"}[name]](N)
         built = _count_maps(monkeypatch)
         power_pair(r, 3)
+        power_pair(r, 2)
+        compose_pair(exp_seq, r)
         assert built == [r.f]
 
     def test_inverse_of_associated_sequence_composes_nothing(self, monkeypatch, log_seq):
@@ -264,7 +267,7 @@ class TestPairCost:
             return compose(outer, inner)
 
         monkeypatch.setattr(umbral, "compose", counted)
-        inv = group_inverse(log_seq)
+        inv = sheffer_from_pair(*inverse_pair(log_seq), N)
         assert composed == [] and built == []
         assert umbral_compose(log_seq, inv) == SEQUENCES["ident"](N).matrix
 
