@@ -9,7 +9,7 @@ floating point appears anywhere.
 __version__ = "0.1.0"
 
 from .algebra import LambdaPoly, XPoly, specialize
-from .families import FAMILY_KINDS, PolyFamily, build_family
+from .families import FAMILY_KINDS, build_family
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .series import (
     Series,
@@ -25,7 +25,6 @@ from .triangles import (
     RouteMismatchError,
     SLICE_KINDS,
     TRIANGLE_KINDS,
-    Triangle,
     build_triangle,
 )
 

@@ -167,25 +167,23 @@ def cmd_triangle(args) -> int:
     else:
         if args.r is not None:
             raise UsageError(f"--r only applies to kinds {'/'.join(SLICE_KINDS)}")
-        triangle = _build_triangle(args.kind, order)
         fieldnames = ("n", "k", "value")
-        records = [(n, k, triangle.entry(n, k))
-                   for n in range(order + 1) for k in range(n + 1)]
+        records = [(n, k, value) for n, row in enumerate(_build_triangle(args.kind, order))
+                   for k, value in enumerate(row)]
     _write_records(args, args.kind, order, parameters, fieldnames, records)
     return 0
 
 
 def cmd_poly(args) -> int:
     order = _check_order(args.order)
-    family = build_family(args.family, order)
     parameters = {
         "family": args.family,
         "order": order,
         "lambda": _parameter(args.lam),
         "x": _parameter(args.x),
     }
-    records = [(n, family.poly(n)) for n in range(order + 1)]
-    _write_records(args, args.family, order, parameters, ("n", "value"), records)
+    _write_records(args, args.family, order, parameters, ("n", "value"),
+                   enumerate(build_family(args.family, order)))
     return 0
 
 
@@ -287,7 +285,7 @@ def _eval_expr(expr: str, x):
         if second is not None:
             raise UsageError(f"family {name} takes a single index, got {expr!r}")
         n = _check_order(first)
-        return build_family(name, n).poly(n)
+        return build_family(name, n)[n]
     if name not in SLICE_KINDS and name not in TRIANGLE_KINDS:
         raise UsageError(f"unknown table or family {name!r}")
     if x is not None:
@@ -300,7 +298,7 @@ def _eval_expr(expr: str, x):
         return _build_slice(name, n, r)[n]
     n, k = first, int(second)
     _check_order(n)
-    return _build_triangle(name, n).entry(n, k)
+    return _build_triangle(name, n)[n][k] if k <= n else LambdaPoly.zero()
 
 
 def cmd_eval(args) -> int:

@@ -25,29 +25,12 @@ from typing import NamedTuple
 
 from .algebra import LambdaPoly, XPoly, falling_products
 from .triangles import (
-    FrozenValue,
     RouteMismatchError,
     Workspace as TriangleWorkspace,
     row_sums,
     rows_mismatch,
 )
 from .series import Series, deg_exp_coeffs
-
-
-class PolyFamily(FrozenValue):
-    """Members polys[n] (x-polynomials) of a family for 0 <= n <= order."""
-
-    __slots__ = ("kind", "order", "polys")
-
-    def __init__(self, kind: str, order: int, polys: tuple):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "polys", polys)
-
-    def poly(self, n: int) -> XPoly:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"index {n} beyond stored order {self.order}")
-        return self.polys[n]
 
 
 def _sum_route(rows, order: int):
@@ -71,7 +54,9 @@ def _egf_route(inner: Series, order: int):
     return [c * factorial(n) for n, c in enumerate(coeffs)]
 
 
-def _validated(kind: str, order: int, sum_polys, egf_polys) -> PolyFamily:
+def _validated(kind: str, sum_polys, egf_polys) -> tuple:
+    """The members of sum_polys as a tuple, once they agree with egf_polys
+    and each is monic of exact degree n in x."""
     bad = rows_mismatch((sum_polys,), (egf_polys,))
     if bad is not None:
         _, n, a, b = bad
@@ -82,7 +67,7 @@ def _validated(kind: str, order: int, sum_polys, egf_polys) -> PolyFamily:
             raise RouteMismatchError(
                 f"{kind} P_{n} is not monic of degree {n} in x: {p}"
             )
-    return PolyFamily(kind, order, tuple(sum_polys))
+    return tuple(sum_polys)
 
 
 class FamilyKind(NamedTuple):
@@ -109,17 +94,18 @@ class Workspace(TriangleWorkspace):
         def build():
             spec = FAMILIES[kind]
             return (
-                _sum_route(self.tri(spec.triangle).rows, self.order),
+                _sum_route(self.tri(spec.triangle), self.order),
                 _egf_route(spec.inner(self), self.order),
             )
         return self._get(("family_routes", kind), build)
 
-    def family(self, kind: str) -> PolyFamily:
+    def family(self, kind: str) -> tuple:
+        """A family kind's validated members P_0..P_order, as ``XPoly``."""
         return self._get(("family", kind), lambda: _validated(
-            kind, self.order, *self.family_routes(kind)))
+            kind, *self.family_routes(kind)))
 
 
-def build_family(kind: str, order: int) -> PolyFamily:
+def build_family(kind: str, order: int) -> tuple:
     if kind not in FAMILIES:
         raise ValueError(f"unknown polynomial family {kind!r}")
     return Workspace(order).family(kind)
@@ -128,6 +114,5 @@ def build_family(kind: str, order: int) -> PolyFamily:
 __all__ = [
     "FAMILIES",
     "FAMILY_KINDS",
-    "PolyFamily",
     "build_family",
 ]

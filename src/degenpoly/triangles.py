@@ -5,7 +5,9 @@ order-parametrised number slices (the 1/log and 1/(exp-1) power coefficients).
 Every triangle is produced by two independent routes and compared entrywise;
 the second route is the test oracle, since no published numeric tables exist
 for the degenerate families.  A route disagreement raises
-``RouteMismatchError`` -- it signals an engine bug, never bad input.
+``RouteMismatchError`` -- it signals an engine bug, never bad input.  A
+built triangle is its rows: a tuple of row tuples, row n holding the
+λ-polynomial entries (n, k) for k = 0..n.
 
 Routes per kind, all in the one ``TRIANGLES`` table (a ``Workspace`` builds
 a kind's routes once, after the kinds and series they read, and validates
@@ -41,70 +43,17 @@ from .scalars import Q
 # compose is not called here: perfbench/test_perfbench.py reads triangles.compose.
 from .series import DELTA_MAPS, Series, compose, mul_inverse, powers
 
-# The λ = 0 rows of s2 are checked against the partition enumeration up to
-# n = 10, not to oracles.ORACLE_LIMIT = 12, for cost. Enumerating the
-# partitions of every set up to n elements (oracles._block_counts, fresh
-# process; Python 3.11.7, 2-CPU shared host, five runs each) took 4-7 ms to
-# n = 10, 0.02-0.03 s to 11 and 0.15-0.18 s to 12, which every
-# `triangle --kind s2 --order >= 12` request would pay.
-_ORACLE_CHECK_LIMIT = 10
+# The λ = 0 rows of s2, and the verify checks eq17 and classical, read the
+# partition enumeration up to n = 10, not to oracles.ORACLE_LIMIT = 12, for
+# cost. Enumerating the partitions of every set up to n elements
+# (oracles._block_counts, fresh process; Python 3.11.7, 2-CPU shared host,
+# five runs each) took 4-7 ms to n = 10, 0.02-0.03 s to 11 and 0.15-0.18 s
+# to 12, which every `triangle --kind s2 --order >= 12` request would pay.
+ORACLE_CHECK_LIMIT = 10
 
 
 class RouteMismatchError(RuntimeError):
     """Two supposedly-equal computation routes disagreed: an engine bug."""
-
-
-class FrozenValue:
-    """Base of the immutable value classes, whose fields are their
-    ``__slots__``: values of one class with equal fields are equal and hash
-    alike, and no attribute can be set or deleted once ``__init__`` ran."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class Triangle(FrozenValue):
-    """Lower-triangular table (n, k) -> LambdaPoly for 0 <= k <= n <= order."""
-
-    __slots__ = ("kind", "order", "rows")
-
-    def __init__(self, kind: str, order: int, rows: tuple):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", rows)
-
-    def entry(self, n: int, k: int) -> LambdaPoly:
-        """Entry (n, k); zero above the diagonal (k > n), however large k is."""
-        if not 0 <= n <= self.order:
-            raise IndexError(f"row {n} beyond stored order {self.order}")
-        if k < 0:
-            raise IndexError(f"negative column {k}")
-        if k > n:
-            return LambdaPoly.zero()
-        return self.rows[n][k]
 
 
 def rows_mismatch(rows_a, rows_b):
@@ -116,16 +65,17 @@ def rows_mismatch(rows_a, rows_b):
     return None
 
 
-def _validated(kind: str, order: int, rows_a, rows_b, what: str) -> Triangle:
-    """The triangle of rows_a, once it agrees with rows_b on their common
-    rows (rows_b may stop early: an oracle capped below the order)."""
+def _validated(kind: str, rows_a, rows_b, what: str) -> tuple:
+    """The rows of rows_a as a tuple of row tuples, once they agree with
+    rows_b on their common rows (rows_b may stop early: an oracle capped
+    below the order)."""
     bad = rows_mismatch(rows_a, rows_b)
     if bad is not None:
         n, k, a, b = bad
         raise RouteMismatchError(
             f"{kind} routes disagree at (n={n}, k={k}): {what}: {a} vs {b}"
         )
-    return Triangle(kind, order, tuple(tuple(row) for row in rows_a))
+    return tuple(tuple(row) for row in rows_a)
 
 
 def egf_triangle_rows(f: Series, order: int, prefactor: Series | None = None):
@@ -218,14 +168,14 @@ def _series_vs_basis(ws, delta: Series, target_step, basis_step):
 def _series_vs_convolution(ws, doubled: Series, single: str):
     """Powers of a delta series composed with itself versus the
     self-convolution of the single-level triangle."""
-    rows = ws.tri(single).rows
+    rows = ws.tri(single)
     return egf_triangle_rows(doubled, ws.order), convolution_rows(rows, rows)
 
 
 def _specialised_vs_oracle(ws, degenerate: str, oracle, limit: int):
     """λ = 0 specialisation versus a brute-force oracle, the latter only up to
     row ``limit`` (a prefix of the rows)."""
-    return lambda_zero_rows(ws.tri(degenerate).rows), [
+    return lambda_zero_rows(ws.tri(degenerate)), [
         [LambdaPoly.const(oracle(n, k)) for k in range(n + 1)] for n in range(limit + 1)
     ]
 
@@ -243,7 +193,7 @@ TRIANGLES = {
         "λ=0 vs product expansion"),
     "s2": TriangleKind(
         lambda ws: _specialised_vs_oracle(ws, "s2deg", partition_oracle,
-                                          min(ws.order, _ORACLE_CHECK_LIMIT)),
+                                          min(ws.order, ORACLE_CHECK_LIMIT)),
         "λ=0 vs partition enumeration"),
     "s1deg": TriangleKind(
         lambda ws: _series_vs_basis(ws, ws.delta("log"), -1, -LambdaPoly.var()),
@@ -291,12 +241,13 @@ class Workspace:
         """Both routes of a triangle kind, as (rows_a, rows_b)."""
         return self._get(("routes", kind), lambda: TRIANGLES[kind].routes(self))
 
-    def tri(self, kind: str) -> Triangle:
+    def tri(self, kind: str) -> tuple:
+        """A triangle kind's validated rows: row n holds entries k = 0..n."""
         return self._get(("tri", kind), lambda: _validated(
-            kind, self.order, *self.routes(kind), TRIANGLES[kind].label))
+            kind, *self.routes(kind), TRIANGLES[kind].label))
 
 
-def build_triangle(kind: str, order: int) -> Triangle:
+def build_triangle(kind: str, order: int) -> tuple:
     if kind not in TRIANGLES:
         raise ValueError(f"unknown triangle kind {kind!r}")
     return Workspace(order).tri(kind)

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
 
 from .algebra import LambdaPoly, XPoly, falling_products, lp_dot
 from .scalars import QONE
@@ -237,17 +236,16 @@ def inverse_pair(s: ShefferSeq):
 
 def corollary15_rhs(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
     """Corollary 15's right side at t^0..t^order (capped at the sequences'
-    order), each coefficient a polynomial in x: s's generating series with ℓbar,
-    the m-fold compositional power of the inverse of r's delta series,
-    substituted.  It is one Riordan product: [x^k][t^n] of it is
-    Σⱼ s[j][k]/j!·[t^n] ℓbarʲ, row n of the product of ℓbar's
-    ``egf_triangle_rows`` with s's matrix, scaled by 1/n!.  The left side,
-    r^m∘s's generating series, reads the matrix ``umbral_power(r, m)``·s."""
+    order), as EGF rows: s's generating series with ℓbar, the m-fold
+    compositional power of the inverse of r's delta series, substituted.
+    It is one Riordan product: n!·[x^k][t^n] of it is
+    Σⱼ n!/j!·[t^n] ℓbarʲ·s[j][k], row n of the product of ℓbar's
+    ``egf_triangle_rows`` with s's matrix.  The left side, r^m∘s's
+    generating series, has the rows of the matrix ``umbral_power(r, m)``·s."""
     if r.g != Series.one(r.g.order):
         raise ValueError("r must be an associated sequence (unit invertible part)")
     if m < 1:
         raise ValueError("m must be >= 1")
     order = min(order, r.order, s.order)
     ell_bar = compositional_power(r.fbar.truncate(order), m)
-    rows = convolution_rows(egf_triangle_rows(ell_bar, order), s.matrix[:order + 1])
-    return [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(rows)]
+    return convolution_rows(egf_triangle_rows(ell_bar, order), s.matrix[:order + 1])

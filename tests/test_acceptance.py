@@ -79,9 +79,9 @@ def test_criterion_2_classical_degeneration(suite):
     bell = build_family("degbell", 10)
     for n in range(11):
         for k in range(n + 1):
-            ok = ok and s2.entry(n, k).eval(0) == partition_oracle(n, k)
-            ok = ok and s1.entry(n, k).eval(0) == signed_cycle_oracle(n, k)
-        ok = ok and specialize(bell.poly(n), 0, 1) == bell_number_classical(n)
+            ok = ok and s2[n][k].eval(0) == partition_oracle(n, k)
+            ok = ok and s1[n][k].eval(0) == signed_cycle_oracle(n, k)
+        ok = ok and specialize(bell[n], 0, 1) == bell_number_classical(n)
     ok = ok and bell_number_classical(10) == 115975
     _report("2 classical degeneration (n <= 10, Bell(10) by enumeration)", ok)
 
@@ -137,7 +137,7 @@ def test_criterion_7_t_triple_agreement(suite):
 
     t = build_triangle("t", 10)
     for n in range(1, 11):
-        ok = ok and t.entry(n, 1) == bell_number_classical(n)
+        ok = ok and t[n][1] == bell_number_classical(n)
     _report("7 doubly-composed table: convolution, multinomial, Bell column", ok,
             f" {bad}" if bad else "")
 

@@ -1,4 +1,5 @@
-"""Polynomial families: frozen small members and their interrelations."""
+"""Polynomial families: frozen small members and their interrelations.  A
+family is its members, a tuple of x-polynomials."""
 
 import pytest
 
@@ -35,29 +36,29 @@ def gaen():
 
 class TestDegBell:
     def test_first_members(self, bell):
-        assert bell.poly(0) == XPoly.one()
-        assert bell.poly(1) == XPoly.var()
-        assert bell.poly(2) == xp(0, lp(1, -2), 1)
+        assert bell[0] == XPoly.one()
+        assert bell[1] == XPoly.var()
+        assert bell[2] == xp(0, lp(1, -2), 1)
 
     def test_number_at_two(self, bell):
-        assert bell.poly(2).eval_x(1) == lp(2, -2)
+        assert bell[2].eval_x(1) == lp(2, -2)
 
     def test_classical_bell_numbers_at_lambda_zero(self, bell):
         for n in range(N + 1):
-            assert specialize(bell.poly(n), 0, 1) == bell_number_classical(n)
+            assert specialize(bell[n], 0, 1) == bell_number_classical(n)
 
     def test_classical_bell_polynomials_at_lambda_zero(self, bell):
         from degenpoly.oracles import partition_oracle
 
         for n in range(N + 1):
             coeffs = [partition_oracle(n, k) for k in range(n + 1)]
-            assert specialize(bell.poly(n), 0) == LambdaPoly(coeffs)
+            assert specialize(bell[n], 0) == LambdaPoly(coeffs)
 
 
 class TestNewTypeBell:
     def test_second_member(self):
         fam = build_family("newbell", 4)
-        assert fam.poly(2) == xp(0, lp(1, -1), 1)
+        assert fam[2] == xp(0, lp(1, -1), 1)
 
     def test_lambda_zero_is_classical_bell_polynomial(self):
         # B_n(x) = sum over k of S_2(n,k) x^k, built from the partition oracle
@@ -66,42 +67,42 @@ class TestNewTypeBell:
         fam = build_family("newbell", 6)
         for n in range(7):
             coeffs = [partition_oracle(n, k) for k in range(n + 1)]
-            assert specialize(fam.poly(n), 0) == LambdaPoly(coeffs)
+            assert specialize(fam[n], 0) == LambdaPoly(coeffs)
 
 
 class TestJindalrae:
     def test_first_members(self, jind):
-        assert jind.poly(0) == XPoly.one()
-        assert jind.poly(1) == XPoly.var()
-        assert jind.poly(2) == xp(0, lp(2, -3), 1)
+        assert jind[0] == XPoly.one()
+        assert jind[1] == XPoly.var()
+        assert jind[2] == xp(0, lp(2, -3), 1)
 
     def test_thm10_instance(self, jind, bell):
         s2 = build_triangle("s2deg", N)
         for n in range(N + 1):
             acc = XPoly.zero()
             for m in range(n + 1):
-                acc = acc + bell.poly(m) * s2.entry(n, m)
-            assert acc == jind.poly(n)
+                acc = acc + bell[m] * s2[n][m]
+            assert acc == jind[n]
 
     def test_thm9_instance(self, jind, bell):
         s1 = build_triangle("s1deg", N)
         for n in range(N + 1):
             acc = XPoly.zero()
             for m in range(n + 1):
-                acc = acc + jind.poly(m) * s1.entry(n, m)
-            assert acc == bell.poly(n)
+                acc = acc + jind[m] * s1[n][m]
+            assert acc == bell[n]
 
 
 class TestGaenari:
     def test_first_members(self, gaen):
-        assert gaen.poly(0) == XPoly.one()
-        assert gaen.poly(1) == XPoly.var()
-        assert gaen.poly(2) == xp(0, lp(-2, 1), 1)
+        assert gaen[0] == XPoly.one()
+        assert gaen[1] == XPoly.var()
+        assert gaen[2] == xp(0, lp(-2, 1), 1)
 
     def test_numbers_are_shifted_falling(self, gaen):
         shifted = falling_products(LambdaPoly.var() - 1, -1, N)
         for n in range(1, N + 1):
-            assert gaen.poly(n).eval_x(1) == shifted[n - 1]
+            assert gaen[n].eval_x(1) == shifted[n - 1]
 
     def test_thm12_instance(self, gaen):
         s2 = build_triangle("s2deg", N)
@@ -109,7 +110,7 @@ class TestGaenari:
         for n in range(N + 1):
             acc = XPoly.zero()
             for m in range(n + 1):
-                acc = acc + gaen.poly(m) * s2.entry(n, m)
+                acc = acc + gaen[m] * s2[n][m]
             assert acc == falling[n]
 
     def test_shifted_log_binomial_expansion_generates_the_family(self, gaen):
@@ -124,7 +125,7 @@ class TestGaenari:
                     for l, p in enumerate(falling_products(XPoly.var(), -1, N))]
         acc = horner(binomial, deg_log(N))
         for n in range(N + 1):
-            assert acc[n] * factorial(n) == gaen.poly(n)
+            assert acc[n] * factorial(n) == gaen[n]
 
 
 class TestStructure:
@@ -132,7 +133,7 @@ class TestStructure:
     def test_monic_of_exact_degree(self, kind):
         fam = build_family(kind, 6)
         for n in range(7):
-            p = fam.poly(n)
+            p = fam[n]
             assert p.degree == n
             assert p.coeff(n) == LambdaPoly.one()
 
@@ -142,7 +143,16 @@ class TestStructure:
 
     def test_poly_out_of_range(self, bell):
         with pytest.raises(IndexError):
-            bell.poly(N + 1)
+            bell[N + 1]
+
+    def test_builds_are_tuples_that_compare_and_hash_equal(self):
+        tri, fam = build_triangle("j1deg", 4), build_family("gaenari", 4)
+        assert type(tri) is tuple and all(type(row) is tuple for row in tri)
+        assert type(fam) is tuple and all(type(p) is XPoly for p in fam)
+        assert [len(row) for row in tri] == [1, 2, 3, 4, 5] and len(fam) == 5
+        for build, kind in ((build_triangle, "j1deg"), (build_family, "gaenari")):
+            first, second = build(kind, 4), build(kind, 4)
+            assert first == second and hash(first) == hash(second)
 
     def test_dual_expansions_of_deformed_falling(self, jind, gaen):
         j1 = build_triangle("j1deg", N)
@@ -152,7 +162,7 @@ class TestStructure:
             left = XPoly.zero()
             right = XPoly.zero()
             for m in range(n + 1):
-                left = left + gaen.poly(m) * j2.entry(n, m)
-                right = right + jind.poly(m) * j1.entry(n, m)
+                left = left + gaen[m] * j2[n][m]
+                right = right + jind[m] * j1[n][m]
             assert left == falling[n]
             assert right == falling[n]

@@ -105,7 +105,7 @@ class TestLambdaOneDegeneration:
         tri = build_triangle("s1deg", 6)
         for n in range(7):
             for k in range(n + 1):
-                assert tri.entry(n, k).eval(1) == (1 if n == k else 0)
+                assert tri[n][k].eval(1) == (1 if n == k else 0)
 
     def test_suite_at_lambda_one(self):
         # a symbolic pass holds at λ = 1 as at every λ

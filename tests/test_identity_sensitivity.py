@@ -18,9 +18,7 @@ import pytest
 
 from degenpoly import identities, umbral
 from degenpoly.algebra import LambdaPoly, XPoly
-from degenpoly.families import PolyFamily
 from degenpoly.identities import SuiteConfig, identity_ids, run_suite
-from degenpoly.triangles import Triangle
 
 ORDER = 6
 N, K = 2, 1  # the entry every corruption changes
@@ -41,14 +39,6 @@ def _bumped_members(polys):
 def _second(bump):
     """Apply a bump to the second of a pair of routes."""
     return lambda pair: (pair[0], bump(pair[1]))
-
-
-def _triangle(tri):
-    return Triangle(tri.kind, tri.order, _bumped_rows(tri.rows))
-
-
-def _family(family):
-    return PolyFamily(family.kind, family.order, _bumped_members(family.polys))
 
 
 def _sequence(seq):
@@ -90,30 +80,30 @@ def _layer(module, attr, corrupt):
 CORRUPTIONS = {
     "eq9": _artifact("routes", "s2deg", _second(_bumped_rows)),
     "eq8": _artifact("routes", "s1deg", _second(_bumped_rows)),
-    "orth": _artifact("tri", "s1deg", _triangle),
+    "orth": _artifact("tri", "s1deg", _bumped_rows),
     "thm1": _artifact("routes", "j2deg", _second(_bumped_rows)),
-    "eq22": _artifact("tri", "j2deg", _triangle),
-    "thm2": _artifact("tri", "j2deg", _triangle),
-    "eq24": _artifact("tri", "s1deg", _triangle),
-    "cor3": _artifact("family", "degbell", _family),
+    "eq22": _artifact("tri", "j2deg", _bumped_rows),
+    "thm2": _artifact("tri", "j2deg", _bumped_rows),
+    "eq24": _artifact("tri", "s1deg", _bumped_rows),
+    "cor3": _artifact("family", "degbell", _bumped_members),
     "thm4": _artifact("routes", "j1deg", _second(_bumped_rows)),
-    "cor5": _artifact("tri", "j1deg", _triangle),
-    "thm6": _artifact("family", "degbell", _family),
-    "thm7": _artifact("tri", "j1deg", _triangle),
-    "eq34": _artifact("tri", "j1deg", _triangle),
+    "cor5": _artifact("tri", "j1deg", _bumped_rows),
+    "thm6": _artifact("family", "degbell", _bumped_members),
+    "thm7": _artifact("tri", "j1deg", _bumped_rows),
+    "eq34": _artifact("tri", "j1deg", _bumped_rows),
     "eq14": _artifact("family_routes", "degbell", _second(_bumped_members)),
     "newbell": _artifact("family_routes", "newbell", _second(_bumped_members)),
     "thm8": _artifact("family_routes", "jindalrae", _second(_bumped_members)),
-    "thm9": _artifact("family", "jindalrae", _family),
-    "thm10": _artifact("family", "degbell", _family),
+    "thm9": _artifact("family", "jindalrae", _bumped_members),
+    "thm10": _artifact("family", "degbell", _bumped_members),
     "thm11": _artifact("family_routes", "gaenari", _second(_bumped_members)),
-    "thm12": _artifact("family", "gaenari", _family),
-    "eq44": _artifact("family", "gaenari", _family),
-    "cor13": _artifact("family", "gaenari", _family),
-    "eq49": _artifact("family", "gaenari", _family),
-    "eq51": _artifact("family", "jindalrae", _family),
-    "eq52": _artifact("family", "gaenari", _family),
-    "eq17": _artifact("tri", "t", _triangle),
+    "thm12": _artifact("family", "gaenari", _bumped_members),
+    "eq44": _artifact("family", "gaenari", _bumped_members),
+    "cor13": _artifact("family", "gaenari", _bumped_members),
+    "eq49": _artifact("family", "gaenari", _bumped_members),
+    "eq51": _artifact("family", "jindalrae", _bumped_members),
+    "eq52": _artifact("family", "gaenari", _bumped_members),
+    "eq17": _artifact("tri", "t", _bumped_rows),
     "eq19": _layer(identities, "t_multinomial_rows", _bumped_rows),
     "thm14": _artifact("seq", "appell", _sequence),
     "eq56": _layer(umbral, "umbral_power_explicit_rows", _bumped_rows),
@@ -121,13 +111,13 @@ CORRUPTIONS = {
     "eq66": _artifact("seq", "s1", _sequence),
     "cor15": _artifact("seq", "s2", _sequence),
     "s31-m1": _artifact("slice_table", "korobov", _slices),
-    "s31-m2": _artifact("tri", "j2deg", _triangle),
+    "s31-m2": _artifact("tri", "j2deg", _bumped_rows),
     "s32-m1": _artifact("slice_table", "degbernoulli", _slices),
-    "s32-m2": _artifact("tri", "j1deg", _triangle),
+    "s32-m2": _artifact("tri", "j1deg", _bumped_rows),
     "s31-m3": _artifact("slice_table", "korobov", _slices),
     "s32-m3": _artifact("slice_table", "degbernoulli", _slices),
-    "degbound": _artifact("tri", "s2deg", _triangle),
-    "classical": _artifact("tri", "s1deg", _triangle),
+    "degbound": _artifact("tri", "s2deg", _bumped_rows),
+    "classical": _artifact("tri", "s1deg", _bumped_rows),
 }
 
 

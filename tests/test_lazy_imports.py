@@ -25,9 +25,9 @@ sys.stderr.write(json.dumps([loaded, "degenpoly.identities" in sys.modules]))
 """
 
 PACKAGE_NAMES = [
-    "CheckResult", "FAMILY_KINDS", "LambdaPoly", "PolyFamily", "RouteMismatchError",
+    "CheckResult", "FAMILY_KINDS", "LambdaPoly", "RouteMismatchError",
     "SEQUENCES", "SLICE_KINDS", "Series", "ShefferSeq", "SuiteConfig", "TRIANGLE_KINDS",
-    "Triangle", "UnknownIdentityError", "XPoly", "algebra", "bell_number_classical",
+    "UnknownIdentityError", "XPoly", "algebra", "bell_number_classical",
     "build_family", "build_triangle", "classical_exp", "comp_inverse", "compose",
     "compositional_power", "deg_exp", "deg_log", "describe_identities", "families",
     "identities", "identity_ids", "inverse_pair", "mul_inverse", "oracles",

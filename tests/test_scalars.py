@@ -58,7 +58,7 @@ def test_everything_stays_exact():
     from degenpoly.families import build_family
     from degenpoly.triangles import korobov_table
 
-    for poly in build_family("jindalrae", 5).polys:
+    for poly in build_family("jindalrae", 5):
         for lam_poly in poly.coeffs:
             assert all(is_scalar(c) and not isinstance(c, float) for c in lam_poly.coeffs)
     for value in korobov_table(5, 3)[3]:

@@ -1,4 +1,5 @@
-"""Triangle builders: frozen entries, structure, and cross-checks."""
+"""Triangle builders: frozen entries, structure, and cross-checks.  A
+triangle is its rows, a tuple of row tuples."""
 
 import pytest
 
@@ -6,7 +7,6 @@ from degenpoly.algebra import LambdaPoly, XPoly, falling_products
 from degenpoly.oracles import partition_oracle, signed_cycle_oracle
 from degenpoly.scalars import Q
 from degenpoly.triangles import (
-    Triangle,
     basis_change_rows,
     build_triangle,
     convolution_rows,
@@ -80,62 +80,63 @@ def j1():
 
 class TestSecondKind:
     def test_entry_2_1(self, s2):
-        assert s2.entry(2, 1) == lp(1, -1)
+        assert s2[2][1] == lp(1, -1)
 
     def test_entry_3_2(self, s2):
-        assert s2.entry(3, 2) == lp(3, -3)
+        assert s2[3][2] == lp(3, -3)
 
     def test_diagonal_is_one(self, s2):
         for n in range(N + 1):
-            assert s2.entry(n, n) == LambdaPoly.one()
+            assert s2[n][n] == LambdaPoly.one()
 
     def test_column_zero(self, s2):
-        assert s2.entry(0, 0) == 1
+        assert s2[0][0] == 1
         for n in range(1, N + 1):
-            assert s2.entry(n, 0) == 0
+            assert s2[n][0] == 0
 
     def test_column_one_is_deformed_falling_of_one(self, s2):
         at_one = falling_products(LambdaPoly.one(), -LambdaPoly.var(), N)
         for n in range(1, N + 1):
-            assert s2.entry(n, 1) == at_one[n]
+            assert s2[n][1] == at_one[n]
 
 
 class TestFirstKind:
     def test_entry_2_1(self, s1):
-        assert s1.entry(2, 1) == lp(-1, 1)
+        assert s1[2][1] == lp(-1, 1)
 
     def test_entry_3_2(self, s1):
-        assert s1.entry(3, 2) == lp(-3, 3)
-        assert s1.entry(3, 2).eval(0) == -3
+        assert s1[3][2] == lp(-3, 3)
+        assert s1[3][2].eval(0) == -3
 
     def test_column_one_is_shifted_falling(self, s1):
         shifted = falling_products(LAM - 1, -1, N)
         for n in range(1, N + 1):
-            assert s1.entry(n, 1) == shifted[n - 1]
+            assert s1[n][1] == shifted[n - 1]
 
     def test_lambda_one_degenerates_to_identity(self, s1):
         for n in range(N + 1):
             for k in range(n + 1):
-                assert s1.entry(n, k).eval(1) == (1 if n == k else 0)
+                assert s1[n][k].eval(1) == (1 if n == k else 0)
 
 
 class TestIteratedKinds:
     def test_j2_entry_2_1(self, j2):
-        assert j2.entry(2, 1) == lp(2, -2)
+        assert j2[2][1] == lp(2, -2)
 
     def test_j1_entry_2_1(self, j1):
-        assert j1.entry(2, 1) == lp(-2, 2)
+        assert j1[2][1] == lp(-2, 2)
 
     def test_vanishing_above_diagonal(self, j2):
-        assert j2.entry(2, 5) == LambdaPoly.zero()
+        # row n stores k = 0..n; every entry above the diagonal is zero
+        assert [len(row) for row in j2] == list(range(1, N + 2))
 
     def test_diagonals(self, j1, j2):
         for n in range(N + 1):
-            assert j1.entry(n, n) == 1
-            assert j2.entry(n, n) == 1
+            assert j1[n][n] == 1
+            assert j2[n][n] == 1
 
     def test_orthogonality(self, s1, s2):
-        prod = convolution_rows(s1.rows, s2.rows)
+        prod = convolution_rows(s1, s2)
         for n in range(N + 1):
             for k in range(n + 1):
                 assert prod[n][k] == (1 if n == k else 0)
@@ -144,32 +145,32 @@ class TestIteratedKinds:
 class TestClassical:
     def test_values(self):
         s2c, s1c = build_triangle("s2", 6), build_triangle("s1", 6)
-        assert s2c.entry(3, 2) == 3
-        assert s2c.entry(n := 5, 1) == 1 and n == 5
-        assert s1c.entry(3, 2) == -3
-        assert s1c.entry(4, 1) == -6
+        assert s2c[3][2] == 3
+        assert s2c[5][1] == 1
+        assert s1c[3][2] == -3
+        assert s1c[4][1] == -6
 
     def test_matches_oracles(self):
         s2c, s1c = build_triangle("s2", 7), build_triangle("s1", 7)
         for n in range(8):
             for k in range(n + 1):
-                assert s2c.entry(n, k) == partition_oracle(n, k)
-                assert s1c.entry(n, k) == signed_cycle_oracle(n, k)
+                assert s2c[n][k] == partition_oracle(n, k)
+                assert s1c[n][k] == signed_cycle_oracle(n, k)
 
 
 class TestTNumbers:
     def test_small_entries(self):
         t = build_triangle("t", 6)
-        assert t.entry(2, 1) == 2
-        assert t.entry(3, 1) == 5
-        assert t.entry(3, 2) == 6
+        assert t[2][1] == 2
+        assert t[3][1] == 5
+        assert t[3][2] == 6
 
     def test_column_one_is_bell(self):
         from degenpoly.oracles import bell_number_classical
 
         t = build_triangle("t", 8)
         for n in range(1, 9):
-            assert t.entry(n, 1) == bell_number_classical(n)
+            assert t[n][1] == bell_number_classical(n)
 
 
 class TestSlices:
@@ -190,7 +191,7 @@ class TestSlices:
         table = korobov_table(6, 6)
         for n in range(1, 7):
             for k in range(1, n + 1):
-                assert s2.entry(n, k) == table[n][n - k] * comb(n - 1, k - 1)
+                assert s2[n][k] == table[n][n - k] * comb(n - 1, k - 1)
 
     def test_bernoulli_identity_with_first_kind(self):
         from math import comb
@@ -199,7 +200,7 @@ class TestSlices:
         table = deg_bernoulli_table(6, 6)
         for n in range(1, 7):
             for k in range(1, n + 1):
-                assert s1.entry(n, k) == table[n][n - k] * comb(n - 1, k - 1)
+                assert s1[n][k] == table[n][n - k] * comb(n - 1, k - 1)
 
     def test_r_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -228,7 +229,7 @@ class TestIndependentSpecializations:
                 power = nxt
             for n in range(k, order + 1):
                 expected = power[n] * Q(factorial(n), factorial(k))
-                assert tri.entry(n, k).eval(Q(1, q)) == expected
+                assert tri[n][k].eval(Q(1, q)) == expected
 
     def test_first_order_slice_at_lambda_zero_is_falling_integral(self):
         # n! [t^n] t/log(1+t) equals the integral over [0,1] of x(x-1)...(x-n+1),
@@ -265,22 +266,20 @@ class TestIndependentSpecializations:
 class TestTriangleType:
     def test_out_of_range(self, s2):
         with pytest.raises(IndexError):
-            s2.entry(N + 1, 0)
+            s2[N + 1]
         with pytest.raises(IndexError):
-            s2.entry(2, -1)
-        # every entry above the diagonal is zero, even beyond the stored order
-        assert s2.entry(2, N + 1) == LambdaPoly.zero()
+            s2[2][3]
 
     def test_degree_bound(self, s1, s2):
         for n in range(N + 1):
             for k in range(n + 1):
-                assert s2.entry(n, k).degree <= n - k
-                assert s1.entry(n, k).degree <= n - k
+                assert s2[n][k].degree <= n - k
+                assert s1[n][k].degree <= n - k
 
     def test_specialized_rows(self, s2):
-        assert s2.entry(2, 1).eval(Q(1, 2)) == Q(1, 2)
+        assert s2[2][1].eval(Q(1, 2)) == Q(1, 2)
 
     def test_kind_and_order(self, s2):
-        assert isinstance(s2, Triangle)
-        assert s2.kind == "s2deg"
-        assert s2.order == N
+        assert len(s2) - 1 == N
+        assert s2 == build_triangle("s2deg", N)
+        assert s2 != build_triangle("s1deg", N)
