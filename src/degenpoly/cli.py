@@ -140,8 +140,9 @@ def _check_order(order: int) -> int:
     return order
 
 
-# Kept as a name of its own: perfbench/tracing.py (CLI_BUILD) and
-# perfbench/record_digests.py wrap the CLI's build step by this name.
+# Kept as a name of its own: perfbench/tracing.py (CLI_BUILD),
+# perfbench/record_digests.py and tests/check_digests.py wrap the CLI's build
+# step by this name.
 def _build_triangle(kind: str, order: int):
     return build_triangle(kind, order)
 

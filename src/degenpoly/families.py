@@ -33,15 +33,15 @@ from .triangles import (
 from .series import Series, deg_exp_coeffs
 
 
-def _sum_route(rows, order: int):
+def _sum_route(rows):
     """polys[n] = sum over k of rows[n][k] * x(x-λ)...(x-(k-1)λ)."""
-    return row_sums(rows, falling_products(XPoly.var(), -LambdaPoly.var(), order), order)
+    return row_sums(rows, falling_products(XPoly.var(), -LambdaPoly.var(), len(rows) - 1))
 
 
-def _egf_route(inner: Series, order: int):
-    """polys[n] = n! [t^n] e_λ^x(inner(t)), read from the differential
-    equation of e_λ^x (``deg_exp_coeffs`` with the exponent x), which uses
-    only inner's coefficients.
+def _egf_route(inner: Series):
+    """polys[n] = n! [t^n] e_λ^x(inner(t)) for n up to inner's order, read
+    from the differential equation of e_λ^x (``deg_exp_coeffs`` with the
+    exponent x), which uses only inner's coefficients.
 
     This route reads no power of inner, so it stays independent of the sum
     route, whose triangle is built from powers of inner itself (through
@@ -50,7 +50,7 @@ def _egf_route(inner: Series, order: int):
     second route: for those kinds that is
     ``row_sums(egf_triangle_rows(inner), fall)``, the sum route itself.
     """
-    coeffs = deg_exp_coeffs(XPoly.var(), order, inner)
+    coeffs = deg_exp_coeffs(XPoly.var(), inner)
     return [c * factorial(n) for n, c in enumerate(coeffs)]
 
 
@@ -94,8 +94,8 @@ class Workspace(TriangleWorkspace):
         def build():
             spec = FAMILIES[kind]
             return (
-                _sum_route(self.tri(spec.triangle), self.order),
-                _egf_route(spec.inner(self), self.order),
+                _sum_route(self.tri(spec.triangle)),
+                _egf_route(spec.inner(self)),
             )
         return self._get(("family_routes", kind), build)
 

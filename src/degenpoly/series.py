@@ -176,13 +176,20 @@ def deg_exp(exponent, order: int, inner: Series | None = None) -> Series:
         raise TypeError(
             f"exponent must be a scalar or λ-polynomial, got {type(exponent).__name__}"
         )
-    return Series(deg_exp_coeffs(exponent, order, inner))
+    return Series(deg_exp_coeffs(exponent, _inner_at(order, inner)))
 
 
-def deg_exp_coeffs(exponent, order: int, inner: Series | None = None,
-                   a=LambdaPoly.var()) -> list:
-    """Coefficients f_0..f_order of F = (1 + a·u(t))^(w/a) for a delta series
-    u (t when inner is None), a scalar or λ-polynomial a (λ: F = e_λ^w(u);
+def _inner_at(order: int, inner: Series | None) -> Series:
+    """The delta series u of a map at the requested order: t when inner is
+    None, else inner truncated to that order."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return Series.identity(order) if inner is None else inner.truncate(order)
+
+
+def deg_exp_coeffs(exponent, inner: Series, a=LambdaPoly.var()) -> list:
+    """Coefficients f_0..f_N of F = (1 + a·u(t))^(w/a), N the order of the
+    delta series u = inner, for a scalar or λ-polynomial a (λ: F = e_λ^w(u);
     0: F = exp(w·u), the limit a -> 0) and an exponent w that is a
     λ-polynomial or an x-polynomial (x, for the family generating series);
     each sum below is one ``lp_dot`` or ``xp_dot``.
@@ -191,16 +198,8 @@ def deg_exp_coeffs(exponent, order: int, inner: Series | None = None,
     n·f_n = w·[t^(n-1)] u'F - [t^(n-1)] a·u·F'.  For u = t this is the
     falling product f_n = f_(n-1)·(w - (n-1)a)/n.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if inner is None:
-        inner = Series.identity(order)
     _check_delta(inner)
-    if inner.order < order:
-        raise ValueError(
-            f"inner series truncated below the requested order {order} "
-            f"(order {inner.order})"
-        )
+    order = inner.order
     ring = type(exponent)
     dot = lp_dot if ring is LambdaPoly else xp_dot
     u = inner.coeffs
@@ -220,7 +219,7 @@ def deg_log(order: int, inner: Series | None = None) -> Series:
     """Deformed logarithm log_λ(1 + u(t)) = ((1 + u)^λ - 1)/λ of a delta
     series u (u = t when inner is None: t + (λ-1)t²/2! + ...), with
     (1 + u)^λ from the recurrence ``deg_exp_coeffs`` at a = 1."""
-    power = deg_exp_coeffs(LambdaPoly.var(), order, inner, 1)
+    power = deg_exp_coeffs(LambdaPoly.var(), _inner_at(order, inner), 1)
     return Series([LambdaPoly.zero()] + [_over_lambda(c) for c in power[1:]])
 
 
@@ -234,7 +233,7 @@ def _over_lambda(c: LambdaPoly) -> LambdaPoly:
 def classical_exp(order: int, inner: Series | None = None) -> Series:
     """exp(u(t)) of a delta series u (u = t when inner is None: coefficients
     1/n!, λ-free), from the recurrence ``deg_exp_coeffs`` at a = 0, w = 1."""
-    return Series(deg_exp_coeffs(LambdaPoly.one(), order, inner, 0))
+    return Series(deg_exp_coeffs(LambdaPoly.one(), _inner_at(order, inner), 0))
 
 
 # name -> (order, inner delta series u, t when omitted) -> the delta series.

@@ -78,11 +78,13 @@ def _validated(kind: str, rows_a, rows_b, what: str) -> tuple:
     return tuple(tuple(row) for row in rows_a)
 
 
-def egf_triangle_rows(f: Series, order: int, prefactor: Series | None = None):
+def egf_triangle_rows(f: Series, prefactor: Series | None = None):
     """rows[n][k] = n!/k! * [t^n] prefactor(t)·f(t)^k for a delta series f,
-    with prefactor 1 when omitted (a Sheffer matrix passes its 1/g(fbar))."""
+    n up to f's order, with prefactor 1 when omitted (a Sheffer matrix
+    passes its g)."""
     if f.coeffs[0]:
         raise ValueError("EGF extraction needs a delta series")
+    order = f.order
     facts = [factorial(n) for n in range(order + 1)]
     start = Series.one(order) if prefactor is None else prefactor
     rows = [[] for _ in range(order + 1)]
@@ -117,16 +119,11 @@ def convolution_rows(rows_a, rows_b):
             for n, row_a in enumerate(rows_a)]
 
 
-def row_sums(rows, seq, order: int):
-    """[Σₘ seq[m]·rows[n][m] for n = 0..order]: a triangle's rows applied to a
+def row_sums(rows, seq):
+    """[Σₘ seq[m]·rows[n][m] for each row n]: a triangle's rows applied to a
     sequence of λ-polynomials (``lp_dot``) or x-polynomials (``xp_dot``)."""
     dot = xp_dot if isinstance(seq[-1], XPoly) else lp_dot
-    return [dot(zip(seq, rows[n])) for n in range(order + 1)]
-
-
-def lambda_zero_rows(rows):
-    """Specialise triangular LambdaPoly rows at λ = 0 (constant entries)."""
-    return [[LambdaPoly.const(c.eval(0)) for c in row] for row in rows]
+    return [dot(zip(seq, row)) for row in rows]
 
 
 def t_multinomial_rows(order: int):
@@ -161,7 +158,7 @@ def _series_vs_basis(ws, delta: Series, target_step, basis_step):
     """Powers of a delta series versus the change of basis expressing the
     falling products x(x+s)...(x+(n-1)s) of step s = target_step in the
     basis of those of step basis_step, row by row."""
-    return (egf_triangle_rows(delta, ws.order),
+    return (egf_triangle_rows(delta),
             basis_change_rows(ws.order, target_step, basis_step))
 
 
@@ -169,13 +166,14 @@ def _series_vs_convolution(ws, doubled: Series, single: str):
     """Powers of a delta series composed with itself versus the
     self-convolution of the single-level triangle."""
     rows = ws.tri(single)
-    return egf_triangle_rows(doubled, ws.order), convolution_rows(rows, rows)
+    return egf_triangle_rows(doubled), convolution_rows(rows, rows)
 
 
 def _specialised_vs_oracle(ws, degenerate: str, oracle, limit: int):
     """λ = 0 specialisation versus a brute-force oracle, the latter only up to
     row ``limit`` (a prefix of the rows)."""
-    return lambda_zero_rows(ws.tri(degenerate)), [
+    specialised = [[LambdaPoly.const(c.eval(0)) for c in row] for row in ws.tri(degenerate)]
+    return specialised, [
         [LambdaPoly.const(oracle(n, k)) for k in range(n + 1)] for n in range(limit + 1)
     ]
 

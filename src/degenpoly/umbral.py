@@ -72,14 +72,6 @@ class ShefferSeq:
     order: int
     matrix: tuple
 
-    def poly(self, n: int) -> XPoly:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"index {n} beyond stored order {self.order}")
-        return XPoly(self.matrix[n])
-
-    def polys(self):
-        return tuple(XPoly(row) for row in self.matrix)
-
     # Built on first use and kept on the instance: neither is a field, so
     # equality and hashing see only the pair, the order and the matrix.
     @cached_property
@@ -93,20 +85,16 @@ class ShefferSeq:
         return comp_inverse(self.f)
 
 
-def sheffer_from_pair(g: Series, f: Series, order: int) -> ShefferSeq:
-    """Build the sequence for an invertible/delta pair from its defining
-    orthogonality: the matrix is the inverse of R = ``egf_triangle_rows(f,
-    order, g)``, so M[n][n] = 1/R[n][n] and, for k < n,
-    M[n][k] = M[n][n]·Σ_{m=k}^{n-1} (-R[n][m])·M[m][k], one ``lp_dot`` each.
-    That it equals n!/k! [t^n] (1/g(fbar)) fbar^k, the generating identity,
-    is what thm14's inverse facts check."""
+def sheffer_from_pair(g: Series, f: Series) -> ShefferSeq:
+    """Build the sequence for an invertible/delta pair, to the lower of the
+    two orders, from its defining orthogonality: the matrix is the inverse
+    of R = ``egf_triangle_rows(f, g)``, so M[n][n] = 1/R[n][n] and, for
+    k < n, M[n][k] = M[n][n]·Σ_{m=k}^{n-1} (-R[n][m])·M[m][k], one ``lp_dot``
+    each.  That it equals n!/k! [t^n] (1/g(fbar)) fbar^k, the generating
+    identity, is what thm14's inverse facts check."""
+    order = min(g.order, f.order)
     if order < 1:
         raise ValueError("sequence order must be >= 1 (the delta series needs a linear term)")
-    if g.order < order or f.order < order:
-        raise ValueError(
-            f"pair series truncated below the requested order {order} "
-            f"(g: {g.order}, f: {f.order})"
-        )
     if unit_scalar(g.coeffs[0]) is None:
         raise ValueError(f"g is not invertible: constant term {g.coeffs[0]}")
     if f.coeffs[0] or unit_scalar(f.coeffs[1]) is None:
@@ -114,9 +102,8 @@ def sheffer_from_pair(g: Series, f: Series, order: int) -> ShefferSeq:
             f"f is not a delta series with invertible linear term "
             f"(constant {f.coeffs[0]}, linear {f.coeffs[1]})"
         )
-    g = g.truncate(order)
-    f = f.truncate(order)
-    riordan = egf_triangle_rows(f, order, g)
+    g, f = g.truncate(order), f.truncate(order)
+    riordan = egf_triangle_rows(f, g)
     rows = []
     for n, r_row in enumerate(riordan):
         pivot = QONE / r_row[n].constant_value()
@@ -138,9 +125,9 @@ def _falling_sequence(order: int) -> ShefferSeq:
     for n in range(1, order + 1):
         fact *= n
         coeffs.append(LambdaPoly([0] * (n - 1) + [QONE / fact]))
-    seq = sheffer_from_pair(Series.one(order), Series(coeffs), order)
+    seq = sheffer_from_pair(Series.one(order), Series(coeffs))
     for n, fall in enumerate(falling_products(XPoly.var(), -LambdaPoly.var(), order)):
-        if seq.poly(n) != fall:
+        if XPoly(seq.matrix[n]) != fall:
             raise RouteMismatchError(
                 f"deformed falling sequence disagrees with the direct product at n={n}"
             )
@@ -150,7 +137,7 @@ def _falling_sequence(order: int) -> ShefferSeq:
 def _appell_sequence(order: int) -> ShefferSeq:
     """The Appell sequence of the pair (t/(e_λ(t) - 1), t)."""
     g = mul_inverse(DELTA_MAPS["exp"](order + 1).shift_down())
-    return sheffer_from_pair(g, Series.identity(order), order)
+    return sheffer_from_pair(g, Series.identity(order))
 
 
 # The one table of Sheffer sequences: name -> order -> ShefferSeq.  "ident" is
@@ -160,9 +147,9 @@ def _appell_sequence(order: int) -> ShefferSeq:
 # degenerate first-kind triangle.  Entries look up ``sheffer_from_pair`` as a
 # module global when called, so a wrapper installed on the module sees them.
 SEQUENCES = {
-    "ident": lambda order: sheffer_from_pair(Series.one(order), Series.identity(order), order),
-    "s2": lambda order: sheffer_from_pair(Series.one(order), DELTA_MAPS["log"](order), order),
-    "s1": lambda order: sheffer_from_pair(Series.one(order), DELTA_MAPS["exp"](order), order),
+    "ident": lambda order: sheffer_from_pair(Series.one(order), Series.identity(order)),
+    "s2": lambda order: sheffer_from_pair(Series.one(order), DELTA_MAPS["log"](order)),
+    "s1": lambda order: sheffer_from_pair(Series.one(order), DELTA_MAPS["exp"](order)),
     "fall": _falling_sequence,
     "appell": _appell_sequence,
 }
@@ -234,11 +221,11 @@ def inverse_pair(s: ShefferSeq):
     return (one if s.g == one else mul_inverse(compose(s.g, s.fbar))), s.fbar
 
 
-def corollary15_rhs(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
-    """Corollary 15's right side at t^0..t^order (capped at the sequences'
-    order), as EGF rows: s's generating series with ℓbar, the m-fold
-    compositional power of the inverse of r's delta series, substituted.
-    It is one Riordan product: n!·[x^k][t^n] of it is
+def corollary15_rhs(r: ShefferSeq, s: ShefferSeq, m: int):
+    """Corollary 15's right side at t^0..t^N, N the lower of the two
+    sequences' orders, as EGF rows: s's generating series with ℓbar, the
+    m-fold compositional power of the inverse of r's delta series,
+    substituted.  It is one Riordan product: n!·[x^k][t^n] of it is
     Σⱼ n!/j!·[t^n] ℓbarʲ·s[j][k], row n of the product of ℓbar's
     ``egf_triangle_rows`` with s's matrix.  The left side, r^m∘s's
     generating series, has the rows of the matrix ``umbral_power(r, m)``·s."""
@@ -246,6 +233,6 @@ def corollary15_rhs(r: ShefferSeq, s: ShefferSeq, m: int, order: int):
         raise ValueError("r must be an associated sequence (unit invertible part)")
     if m < 1:
         raise ValueError("m must be >= 1")
-    order = min(order, r.order, s.order)
+    order = min(r.order, s.order)
     ell_bar = compositional_power(r.fbar.truncate(order), m)
-    return convolution_rows(egf_triangle_rows(ell_bar, order), s.matrix[:order + 1])
+    return convolution_rows(egf_triangle_rows(ell_bar), s.matrix)

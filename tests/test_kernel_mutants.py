@@ -38,17 +38,19 @@ MUTANTS = {
                             "matrix = convolution_rows(r.matrix, r.matrix)"),
     "power-pair": ("umbral.py", "g, f = r.g * of_ell(g), of_ell(f)",
                    "g, f = of_ell(g), of_ell(f)"),
-    "deg_log-a": ("series.py", "deg_exp_coeffs(LambdaPoly.var(), order, inner, 1)",
-                  "deg_exp_coeffs(LambdaPoly.var(), order, inner)"),
+    "deg_log-a": ("series.py",
+                  "deg_exp_coeffs(LambdaPoly.var(), _inner_at(order, inner), 1)",
+                  "deg_exp_coeffs(LambdaPoly.var(), _inner_at(order, inner))"),
     "cor15-ell-bar-power": ("umbral.py", "r.fbar.truncate(order), m)",
                             "r.fbar.truncate(order), m - 1)"),
     "squared-fall-times-ident": ("identities.py", 'self.seq("fall", order).matrix',
                                  'self.seq("ident", order).matrix'),
     "thm14-regeneration-key": ("identities.py",
-                               "key = (g.coeffs[: order + 1], f.coeffs[: order + 1])",
-                               "key = f.coeffs[: order + 1]"),
-    "classical-map-a": ("series.py", "deg_exp_coeffs(LambdaPoly.one(), order, inner, 0)",
-                        "deg_exp_coeffs(LambdaPoly.one(), order, inner, 1)"),
+                               "key = (g, f)",
+                               "key = f"),
+    "classical-map-a": ("series.py",
+                        "deg_exp_coeffs(LambdaPoly.one(), _inner_at(order, inner), 0)",
+                        "deg_exp_coeffs(LambdaPoly.one(), _inner_at(order, inner), 1)"),
 }
 
 SUITE = """

@@ -34,7 +34,7 @@ class TestConstructors:
         assert s.coeffs == (lp(1), lp(1), lp(Q(1, 2), Q(-1, 2)))
 
     def test_deg_exp_x_order_one(self):
-        coeffs = deg_exp_coeffs(XPoly.var(), 1, Series.identity(1))
+        coeffs = deg_exp_coeffs(XPoly.var(), Series.identity(1))
         assert coeffs == [XPoly.one(), XPoly.var()]
 
     def test_series_rejects_x_polynomial_coefficients(self):
@@ -307,7 +307,7 @@ def test_deg_exp_of_inner_matches_horner_compose(exponent, inner):
     helper) for the exponent x, over λ-polynomials for the others."""
     n = inner.order
     if isinstance(exponent, XPoly):
-        assert deg_exp_coeffs(exponent, n, inner) == horner(deg_exp_x(n), inner)
+        assert deg_exp_coeffs(exponent, inner) == horner(deg_exp_x(n), inner)
     else:
         assert deg_exp(exponent, n, inner) == Series(horner(deg_exp(exponent, n).coeffs, inner))
 
@@ -357,15 +357,27 @@ def test_division_by_lambda_refuses_a_nonzero_constant_term():
 
 
 def test_deg_exp_of_inner_reads_only_the_requested_order():
+    # the public maps truncate a longer inner series to the requested order
+    inner = deg_log(9)
+    for build in (lambda order, u: deg_exp(1, order, u),
+                  lambda order, u: deg_exp(LambdaPoly.var(), order, u),
+                  deg_log, classical_exp):
+        assert build(6, inner) == build(6, inner.truncate(6))
+        assert build(6, inner).order == 6
+
+
+def test_deg_exp_coeffs_reads_the_order_of_its_inner_series():
     x = XPoly.var()
-    assert deg_exp_coeffs(x, 6, deg_log(9)) == deg_exp_coeffs(x, 6, deg_log(6))
+    for order in (0, 1, 6):
+        assert len(deg_exp_coeffs(x, deg_log(order))) == order + 1
+    assert deg_exp_coeffs(x, deg_log(9))[:7] == deg_exp_coeffs(x, deg_log(6))
 
 
 def test_deg_exp_rejects_nonzero_constant_term_like_compose():
     not_delta = deg_exp(1, 4)
     with pytest.raises(ValueError) as horner_route:
         compose(deg_exp(1, 4), not_delta)
-    for recurrence_route in (lambda: deg_exp_coeffs(XPoly.var(), 4, not_delta),
+    for recurrence_route in (lambda: deg_exp_coeffs(XPoly.var(), not_delta),
                              lambda: deg_log(4, not_delta)):
         with pytest.raises(ValueError, match="constant term") as recurrence:
             recurrence_route()
@@ -387,7 +399,7 @@ def test_negative_order_is_refused(build):
 
 
 def test_deg_exp_rejects_inner_truncated_below_order():
-    with pytest.raises(ValueError, match="truncated below"):
+    with pytest.raises(ValueError, match="^cannot extend order 4 series to 6$"):
         deg_exp(1, 6, deg_log(4))
 
 

@@ -11,8 +11,10 @@ from degenpoly.triangles import (
     build_triangle,
     convolution_rows,
     deg_bernoulli_table,
+    egf_triangle_rows,
     korobov_table,
 )
+from degenpoly.series import deg_log
 
 N = 8
 LAM = LambdaPoly.var()
@@ -56,6 +58,14 @@ def test_basis_change_recurrence_matches_the_peel(pair):
     for order in range(13):
         assert basis_change_rows(order, target_step, basis_step) == peel_rows(
             falling_products(x, target_step, order), falling_products(x, basis_step, order))
+
+
+@pytest.mark.parametrize("order", [0, 1, 6])
+def test_egf_rows_read_the_order_of_the_series(order):
+    # one row per coefficient of f: the s1deg triangle from log_λ(1 + t)
+    rows = egf_triangle_rows(deg_log(order))
+    assert len(rows) == order + 1
+    assert tuple(map(tuple, rows)) == build_triangle("s1deg", order)
 
 
 @pytest.fixture(scope="module")

@@ -46,7 +46,7 @@ def generating_identity_rows(g, f, order):
     inverse of f."""
     g, f = g.truncate(order), f.truncate(order)
     fbar = comp_inverse(f)
-    return egf_triangle_rows(fbar, order, mul_inverse(compose(g, fbar)))
+    return egf_triangle_rows(fbar, mul_inverse(compose(g, fbar)))
 
 
 def composed_polys(r, s, m=2):
@@ -112,7 +112,7 @@ def appell_seq():
 class TestPairConstruction:
     def test_identity_pair_gives_monomials(self, ident):
         for n in range(N + 1):
-            assert ident.poly(n) == XPoly([LambdaPoly.zero()] * n + [LambdaPoly.one()])
+            assert XPoly(ident.matrix[n]) == XPoly([LambdaPoly.zero()] * n + [LambdaPoly.one()])
 
     def test_log_pair_matrix_is_second_kind_triangle(self, log_seq):
         assert rows_mismatch(log_seq.matrix, build_triangle("s2deg", N)) is None
@@ -123,16 +123,16 @@ class TestPairConstruction:
     def test_falling_sequence_polys(self, fall_seq):
         falling = falling_products(XPoly.var(), -LambdaPoly.var(), N)
         for n in range(N + 1):
-            assert fall_seq.poly(n) == falling[n]
+            assert XPoly(fall_seq.matrix[n]) == falling[n]
 
     def test_rejects_non_invertible_g(self):
         with pytest.raises(ValueError, match="not invertible"):
-            sheffer_from_pair(deg_log(N), deg_log(N), N)
+            sheffer_from_pair(deg_log(N), deg_log(N))
 
     def test_rejects_non_delta_f(self):
         one = Series.one(N)
         with pytest.raises(ValueError, match="delta series"):
-            sheffer_from_pair(one, deg_exp(1, N), N)
+            sheffer_from_pair(one, deg_exp(1, N))
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_matrix_is_the_generating_identity(self, order):
@@ -145,13 +145,16 @@ class TestPairConstruction:
         assert len(pairs) == 25
         for g, f in pairs:
             assert rows_mismatch(
-                sheffer_from_pair(g, f, order).matrix, generating_identity_rows(g, f, order)
+                sheffer_from_pair(g, f).matrix, generating_identity_rows(g, f, order)
             ) is None
 
-    def test_rejects_undersized_series(self):
-        one = Series.one(3)
-        with pytest.raises(ValueError, match="truncated below"):
-            sheffer_from_pair(one, deg_log(3), 5)
+    @pytest.mark.parametrize("g_order, f_order", [(3, 6), (6, 3)])
+    def test_builds_to_the_lower_order(self, g_order, f_order):
+        # like every binary series operation, the pair is read to its lower order
+        g, f = Series.one(g_order), deg_log(f_order)
+        seq = sheffer_from_pair(g, f)
+        assert seq.order == len(seq.matrix) - 1 == 3
+        assert seq.matrix == SEQUENCES["s2"](3).matrix
 
 
 class TestGroup:
@@ -163,15 +166,15 @@ class TestGroup:
         seqs = (ident, log_seq, exp_seq, appell_seq)
         for q in seqs:
             for p in seqs:
-                regenerated = sheffer_from_pair(*compose_pair(q, p), N)
+                regenerated = sheffer_from_pair(*compose_pair(q, p))
                 assert rows_mismatch(umbral_compose(q, p), regenerated.matrix) is None
 
     def test_inverse_law(self, ident, log_seq, exp_seq, appell_seq):
         for s in (log_seq, exp_seq, appell_seq):
-            inv = sheffer_from_pair(*inverse_pair(s), N)
+            inv = sheffer_from_pair(*inverse_pair(s))
             for q, p in ((s, inv), (inv, s)):
                 assert rows_mismatch(umbral_compose(q, p), ident.matrix) is None
-                regenerated = sheffer_from_pair(*compose_pair(q, p), N)
+                regenerated = sheffer_from_pair(*compose_pair(q, p))
                 assert rows_mismatch(regenerated.matrix, ident.matrix) is None
 
     def test_compose_requires_equal_orders(self, log_seq):
@@ -197,7 +200,7 @@ class TestPowers:
     def test_power_pair_regenerates_same_matrix(self, log_seq, appell_seq):
         for r in (log_seq, appell_seq):
             for m in (2, 3):
-                regen = sheffer_from_pair(*power_pair(r, m), N)
+                regen = sheffer_from_pair(*power_pair(r, m))
                 assert rows_mismatch(umbral_power(r, m), regen.matrix) is None
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -267,7 +270,7 @@ class TestPairCost:
             return compose(outer, inner)
 
         monkeypatch.setattr(umbral, "compose", counted)
-        inv = sheffer_from_pair(*inverse_pair(log_seq), N)
+        inv = sheffer_from_pair(*inverse_pair(log_seq))
         assert composed == [] and built == []
         assert umbral_compose(log_seq, inv) == SEQUENCES["ident"](N).matrix
 
@@ -285,7 +288,7 @@ class TestPairCost:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         for (g, f), rows in zip(pairs, expected):
-            assert rows_mismatch(sheffer_from_pair(g, f, N).matrix, rows) is None
+            assert rows_mismatch(sheffer_from_pair(g, f).matrix, rows) is None
 
 class TestFamilyRoutes:
     @pytest.mark.parametrize(
@@ -300,13 +303,13 @@ class TestFamilyRoutes:
 class TestCorollary15:
     def test_trivial_substitution(self, ident, fall_seq):
         for m in (2, 3):
-            assert corollary15_lhs(ident, fall_seq, m) == corollary15_rhs(ident, fall_seq, m, N)
+            assert corollary15_lhs(ident, fall_seq, m) == corollary15_rhs(ident, fall_seq, m)
 
     def test_jindalrae_substitution(self, log_seq, fall_seq):
-        assert corollary15_lhs(log_seq, fall_seq, 2) == corollary15_rhs(log_seq, fall_seq, 2, N)
+        assert corollary15_lhs(log_seq, fall_seq, 2) == corollary15_rhs(log_seq, fall_seq, 2)
 
     def test_gaenari_substitution(self, exp_seq, fall_seq):
-        assert corollary15_lhs(exp_seq, fall_seq, 2) == corollary15_rhs(exp_seq, fall_seq, 2, N)
+        assert corollary15_lhs(exp_seq, fall_seq, 2) == corollary15_rhs(exp_seq, fall_seq, 2)
 
     def test_substituted_generating_series_is_the_family_series(self, log_seq, fall_seq):
         em1 = deg_exp(1, N) - 1
@@ -317,19 +320,21 @@ class TestCorollary15:
     @pytest.mark.parametrize("order", [1, 5, 8])
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("name", ["ident", "log_seq", "exp_seq"])
-    def test_column_rhs_matches_x_horner_rhs(self, request, fall_seq, name, m, order):
+    def test_column_rhs_matches_x_horner_rhs(self, fall_seq, name, m, order):
         # the right-hand side as one x-coefficient Horner substitution of s's
-        # whole generating series, independent of the Riordan product
-        r = request.getfixturevalue(name)
-        rhs = corollary15_rhs(r, fall_seq, m, order)
-        ell_bar = compositional_power(comp_inverse(r.f.truncate(order)), m)
+        # whole generating series, independent of the Riordan product; r at
+        # the lower order sets the order of the right side
+        r = SEQUENCES[{"ident": "ident", "log_seq": "s2", "exp_seq": "s1"}[name]](order)
+        rhs = corollary15_rhs(r, fall_seq, m)
+        assert len(rhs) == order + 1
+        ell_bar = compositional_power(comp_inverse(r.f), m)
         s_egf = [XPoly(row) * (QONE / factorial(n)) for n, row in enumerate(fall_seq.matrix)]
         direct = horner(s_egf[:order + 1], ell_bar)
         assert [XPoly(row) for row in rhs] == [c * factorial(n) for n, c in enumerate(direct)]
 
     def test_requires_associated_r(self, appell_seq, fall_seq):
         with pytest.raises(ValueError, match="associated"):
-            corollary15_rhs(appell_seq, fall_seq, 2, N)
+            corollary15_rhs(appell_seq, fall_seq, 2)
 
     def test_inverse_of_composed_map_is_swapped_inverse_chain(self, fall_seq, log_seq, exp_seq):
         # the inverse of ℓ^m(f(t)) is fbar(ℓbar^m(t)), checked as a property
