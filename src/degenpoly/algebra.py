@@ -81,19 +81,6 @@ def _reduced(nums: list, den: int) -> "LambdaPoly":
     return _make(nums, den)
 
 
-def _power(base, n: int):
-    """base**n for a LambdaPoly or an XPoly, by square-and-multiply."""
-    if n < 0:
-        raise ValueError("negative polynomial power")
-    result = type(base).one()
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
-    return result
-
-
 class LambdaPoly:
     """Dense polynomial in λ over the exact rationals: int numerators over one
     shared positive denominator, in canonical form.  Built from an iterable
@@ -223,8 +210,6 @@ class LambdaPoly:
         return lp_dot(((self, other),))
 
     __rmul__ = __mul__
-
-    __pow__ = _power
 
     def eval(self, lam):
         """Exact Horner evaluation at a rational λ, homogenised in ints."""
@@ -385,9 +370,6 @@ class XPoly:
             return self + (-other)
         return NotImplemented
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, LambdaPoly) or is_scalar(other):
             if not other:
@@ -403,8 +385,6 @@ class XPoly:
         return XPoly([lp_conv(a, b, k) for k in range(len(a) + len(b) - 1)])
 
     __rmul__ = __mul__
-
-    __pow__ = _power
 
     def eval_x(self, x_value) -> LambdaPoly:
         """Horner evaluation at a rational x, leaving λ symbolic."""

@@ -109,10 +109,3 @@ def build_family(kind: str, order: int) -> tuple:
     if kind not in FAMILIES:
         raise ValueError(f"unknown polynomial family {kind!r}")
     return Workspace(order).family(kind)
-
-
-__all__ = [
-    "FAMILIES",
-    "FAMILY_KINDS",
-    "build_family",
-]

@@ -384,7 +384,7 @@ def _check_thm14(ws, order):
     for qname, q in named:
         for pname, p in named:
             yield _matrix_fact(f"group law {qname}∘{pname}", _umbral.umbral_compose(q, p),
-                               regen(*_umbral.compose_pair(q, p)).matrix)
+                               regen(*_umbral.compose_pair((q.g, q.f), p)).matrix)
 
     # s's matrix inverts its Riordan array [g, f]; inv's inverts the array of
     # (1/g(fbar), fbar), so s∘inv = I checks s's generating identity

@@ -138,9 +138,6 @@ class Series:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)

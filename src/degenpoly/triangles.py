@@ -154,12 +154,12 @@ def t_multinomial_rows(order: int):
     return rows
 
 
-def _series_vs_basis(ws, delta: Series, target_step, basis_step):
+def _series_vs_basis(delta: Series, target_step, basis_step):
     """Powers of a delta series versus the change of basis expressing the
     falling products x(x+s)...(x+(n-1)s) of step s = target_step in the
     basis of those of step basis_step, row by row."""
     return (egf_triangle_rows(delta),
-            basis_change_rows(ws.order, target_step, basis_step))
+            basis_change_rows(delta.order, target_step, basis_step))
 
 
 def _series_vs_convolution(ws, doubled: Series, single: str):
@@ -194,10 +194,10 @@ TRIANGLES = {
                                           min(ws.order, ORACLE_CHECK_LIMIT)),
         "λ=0 vs partition enumeration"),
     "s1deg": TriangleKind(
-        lambda ws: _series_vs_basis(ws, ws.delta("log"), -1, -LambdaPoly.var()),
+        lambda ws: _series_vs_basis(ws.delta("log"), -1, -LambdaPoly.var()),
         "series vs basis change"),
     "s2deg": TriangleKind(
-        lambda ws: _series_vs_basis(ws, ws.delta("exp"), -LambdaPoly.var(), -1),
+        lambda ws: _series_vs_basis(ws.delta("exp"), -LambdaPoly.var(), -1),
         "series vs basis change"),
     "j1deg": TriangleKind(
         lambda ws: _series_vs_convolution(ws, ws.doubled("log"), "s1deg"),

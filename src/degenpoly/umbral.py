@@ -1,8 +1,8 @@
 """Sheffer-sequence machinery: polynomial sequences attached to a pair of an
 invertible series g and a delta series f.
 
-A sequence is represented by its defining pair together with the
-lower-triangular coefficient matrix of s_n(x) in the monomial basis, read off
+A sequence is its defining pair and the lower-triangular coefficient matrix
+of s_n(x) in the monomial basis, whose rows fix its order, read off
 from the defining orthogonality ⟨g(t) f(t)^k | s_n(x)⟩ = n! δ_{n,k} (Roman,
 The Umbral Calculus, 1984, §2.3): the matrix is the inverse of the
 exponential Riordan array R[n][k] = n!/k! [t^n] g(t) f(t)^k (Shapiro et al.,
@@ -35,11 +35,11 @@ reads them.  It regenerates each distinct predicted pair once with
 
 A sequence owns the two series maps its predictions read, each built on
 first use and then kept: ``of_f``, the substitution outer -> outer(f), and
-``fbar``, the compositional inverse of f.  ``compose_pair(q, p)`` reads
-p's map, ``power_pair`` and ``inverse_pair`` the sequence's own, and
-``corollary15_rhs`` r's fbar.  The power pair is m - 1 group-law steps
-r^i = r^(i-1)∘r: with r's pair (h, ℓ) each maps (g, f) to (h·g(ℓ), f(ℓ)),
+``fbar``, the compositional inverse of f.  The group law is stated once:
+``compose_pair((g, f), p)`` gives q∘p's pair from q's pair through p's map.
+``power_pair`` is m - 1 of its steps r^i = r^(i-1)∘r from r's pair (h, ℓ),
 which gives (h^m, t) for Appell and (1, ℓ^m) for associated sequences.
+``inverse_pair`` reads the sequence's fbar, ``corollary15_rhs`` r's.
 """
 
 from __future__ import annotations
@@ -69,11 +69,10 @@ class ShefferSeq:
 
     g: Series
     f: Series
-    order: int
     matrix: tuple
 
     # Built on first use and kept on the instance: neither is a field, so
-    # equality and hashing see only the pair, the order and the matrix.
+    # equality and hashing see only the pair and the matrix.
     @cached_property
     def of_f(self):
         """The map outer -> outer(f), for the group law's pair predictions."""
@@ -112,7 +111,7 @@ def sheffer_from_pair(g: Series, f: Series) -> ShefferSeq:
                for k in range(n)]
         row.append(LambdaPoly.const(pivot))
         rows.append(tuple(row))
-    return ShefferSeq(g, f, order, tuple(rows))
+    return ShefferSeq(g, f, tuple(rows))
 
 
 def _falling_sequence(order: int) -> ShefferSeq:
@@ -158,8 +157,8 @@ SEQUENCES = {
 def umbral_compose(q: ShefferSeq, p: ShefferSeq) -> tuple:
     """The coefficient matrix of q∘p (p's polynomials substituted into q's
     coefficient expansion): the product of q's and p's matrices."""
-    if q.order != p.order:
-        raise ValueError(f"order mismatch: {q.order} vs {p.order}")
+    if len(q.matrix) != len(p.matrix):
+        raise ValueError(f"order mismatch: {len(q.matrix) - 1} vs {len(p.matrix) - 1}")
     return tuple(tuple(row) for row in convolution_rows(q.matrix, p.matrix))
 
 
@@ -174,21 +173,20 @@ def umbral_power(r: ShefferSeq, m: int) -> tuple:
     return tuple(tuple(row) for row in matrix)
 
 
-def compose_pair(q: ShefferSeq, p: ShefferSeq):
-    """The pair of q∘p by the group law: (p.g * q.g(p.f), q.f(p.f))."""
-    return p.g * p.of_f(q.g), p.of_f(q.f)
+def compose_pair(pair, p: ShefferSeq):
+    """q∘p's pair from q's pair (g, f) by the group law: (p.g * g(p.f), f(p.f))."""
+    g, f = pair
+    return p.g * p.of_f(g), p.of_f(f)
 
 
 def power_pair(r: ShefferSeq, m: int):
-    """The pair of the m-fold umbral power: m - 1 group-law steps
-    (g, f) -> (r.g·g(ℓ), f(ℓ)) through r's one substitution of ℓ = r.f."""
+    """The pair of the m-fold umbral power: m - 1 ``compose_pair`` steps from r's pair."""
     if m < 1:
         raise ValueError("umbral power needs m >= 1")
-    of_ell = r.of_f
-    g, f = r.g, r.f
+    pair = r.g, r.f
     for _ in range(m - 1):
-        g, f = r.g * of_ell(g), of_ell(f)
-    return g, f
+        pair = compose_pair(pair, r)
+    return pair
 
 
 def umbral_power_explicit_rows(r: ShefferSeq, m: int):
@@ -233,6 +231,6 @@ def corollary15_rhs(r: ShefferSeq, s: ShefferSeq, m: int):
         raise ValueError("r must be an associated sequence (unit invertible part)")
     if m < 1:
         raise ValueError("m must be >= 1")
-    order = min(r.order, s.order)
+    order = min(len(r.matrix), len(s.matrix)) - 1
     ell_bar = compositional_power(r.fbar.truncate(order), m)
     return convolution_rows(egf_triangle_rows(ell_bar), s.matrix)

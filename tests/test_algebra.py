@@ -151,23 +151,6 @@ class TestCanonicalForm:
         assert str(xp(0, lp(2, -3), 1)) == "(2 - 3*λ)*x + x^2"
         assert str(LambdaPoly.zero()) == "0"
 
-    def test_small_powers(self):
-        base = lp(1, 1)
-        assert base ** 0 == LambdaPoly.one()
-        assert base ** 2 == lp(1, 2, 1)
-        assert xp(1, 1) ** 2 == xp(1, 2, 1)
-        # odd and multi-bit exponents, against repeated products
-        for poly in (lp(Q(1, 2), -1, 3), xp(lp(1, 1), Q(-2, 3), 1)):
-            product = type(poly).one()
-            for n in range(1, 8):
-                product = product * poly
-                if n in (3, 5, 7):
-                    assert poly ** n == product
-        with pytest.raises(ValueError):
-            base ** -1
-        with pytest.raises(ValueError):
-            xp(1, 1) ** -1
-
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             LambdaPoly([0.5])

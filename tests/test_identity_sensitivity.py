@@ -26,7 +26,7 @@ N, K = 2, 1  # the entry every corruption changes
 
 def _bumped_rows(rows):
     rows = [list(row) for row in rows]
-    rows[N][K] = rows[N][K] + LambdaPoly.one() + LambdaPoly.var() ** (N + 1)
+    rows[N][K] = rows[N][K] + LambdaPoly.one() + LambdaPoly([0] * (N + 1) + [1])
     return tuple(tuple(row) for row in rows)
 
 
@@ -48,7 +48,7 @@ def _sequence(seq):
 def _slices(table):
     table = list(table)
     table[N] = tuple(
-        value + LambdaPoly.one() + LambdaPoly.var() ** (N + 1) if n == K else value
+        value + LambdaPoly.one() + LambdaPoly([0] * (N + 1) + [1]) if n == K else value
         for n, value in enumerate(table[N])
     )
     return table

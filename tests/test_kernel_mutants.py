@@ -36,8 +36,8 @@ MUTANTS = {
     "forward-substitution": ("umbral.py", "for m in range(k, n)", "for m in range(k, n - 1)"),
     "umbral-power-square": ("umbral.py", "matrix = convolution_rows(matrix, r.matrix)",
                             "matrix = convolution_rows(r.matrix, r.matrix)"),
-    "power-pair": ("umbral.py", "g, f = r.g * of_ell(g), of_ell(f)",
-                   "g, f = of_ell(g), of_ell(f)"),
+    "power-pair": ("umbral.py", "return p.g * p.of_f(g), p.of_f(f)",
+                   "return p.of_f(g), p.of_f(f)"),
     "deg_log-a": ("series.py",
                   "deg_exp_coeffs(LambdaPoly.var(), _inner_at(order, inner), 1)",
                   "deg_exp_coeffs(LambdaPoly.var(), _inner_at(order, inner))"),

@@ -1,5 +1,6 @@
 """Sheffer machinery: pair construction, the composition group, powers."""
 
+from dataclasses import fields
 from itertools import product
 from math import factorial
 
@@ -25,6 +26,7 @@ from degenpoly.triangles import (
 )
 from degenpoly.umbral import (
     SEQUENCES,
+    ShefferSeq,
     compose_pair,
     corollary15_rhs,
     inverse_pair,
@@ -69,7 +71,7 @@ def product_loop_rows(r, m):
         return r.matrix[i][j] if j <= i else zero
 
     rows = []
-    for n in range(r.order + 1):
+    for n in range(len(r.matrix)):
         row = []
         for k in range(n + 1):
             acc = zero
@@ -110,6 +112,10 @@ def appell_seq():
 
 
 class TestPairConstruction:
+    def test_fields_are_the_pair_and_the_matrix(self):
+        # the matrix fixes the order, so none is stored beside it
+        assert tuple(field.name for field in fields(ShefferSeq)) == ("g", "f", "matrix")
+
     def test_identity_pair_gives_monomials(self, ident):
         for n in range(N + 1):
             assert XPoly(ident.matrix[n]) == XPoly([LambdaPoly.zero()] * n + [LambdaPoly.one()])
@@ -140,7 +146,7 @@ class TestPairConstruction:
         seqs = {name: build(order) for name, build in SEQUENCES.items()}
         named = [seqs[name] for name in ("ident", "s1", "s2", "appell")]
         pairs = [(s.g, s.f) for s in seqs.values()]
-        pairs += [compose_pair(q, p) for q in named for p in named]
+        pairs += [compose_pair((q.g, q.f), p) for q in named for p in named]
         pairs += [power_pair(r, m) for r in (seqs["s2"], seqs["appell"]) for m in (2, 3)]
         assert len(pairs) == 25
         for g, f in pairs:
@@ -153,7 +159,7 @@ class TestPairConstruction:
         # like every binary series operation, the pair is read to its lower order
         g, f = Series.one(g_order), deg_log(f_order)
         seq = sheffer_from_pair(g, f)
-        assert seq.order == len(seq.matrix) - 1 == 3
+        assert len(seq.matrix) - 1 == 3
         assert seq.matrix == SEQUENCES["s2"](3).matrix
 
 
@@ -166,7 +172,7 @@ class TestGroup:
         seqs = (ident, log_seq, exp_seq, appell_seq)
         for q in seqs:
             for p in seqs:
-                regenerated = sheffer_from_pair(*compose_pair(q, p))
+                regenerated = sheffer_from_pair(*compose_pair((q.g, q.f), p))
                 assert rows_mismatch(umbral_compose(q, p), regenerated.matrix) is None
 
     def test_inverse_law(self, ident, log_seq, exp_seq, appell_seq):
@@ -174,12 +180,17 @@ class TestGroup:
             inv = sheffer_from_pair(*inverse_pair(s))
             for q, p in ((s, inv), (inv, s)):
                 assert rows_mismatch(umbral_compose(q, p), ident.matrix) is None
-                regenerated = sheffer_from_pair(*compose_pair(q, p))
+                regenerated = sheffer_from_pair(*compose_pair((q.g, q.f), p))
                 assert rows_mismatch(regenerated.matrix, ident.matrix) is None
 
     def test_compose_requires_equal_orders(self, log_seq):
         with pytest.raises(ValueError, match="order mismatch"):
             umbral_compose(log_seq, SEQUENCES["s2"](N - 1))
+
+    def test_compose_rejects_matrices_of_different_sizes(self, log_seq):
+        shorter = ShefferSeq(log_seq.g, log_seq.f, log_seq.matrix[:-1])
+        with pytest.raises(ValueError, match=f"order mismatch: {N - 1} vs {N}"):
+            umbral_compose(shorter, log_seq)
 
 
 class TestPowers:
@@ -202,6 +213,15 @@ class TestPowers:
             for m in (2, 3):
                 regen = sheffer_from_pair(*power_pair(r, m))
                 assert rows_mismatch(umbral_power(r, m), regen.matrix) is None
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("name", ["log_seq", "appell_seq"])
+    def test_power_pair_is_compose_pair_steps(self, request, name, m):
+        r = request.getfixturevalue(name)
+        pair = r.g, r.f
+        for _ in range(m - 1):
+            pair = compose_pair(pair, r)
+        assert power_pair(r, m) == pair
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_explicit_sum_matches_matrix_power(self, log_seq, m):
@@ -258,7 +278,7 @@ class TestPairCost:
         built = _count_maps(monkeypatch)
         power_pair(r, 3)
         power_pair(r, 2)
-        compose_pair(exp_seq, r)
+        compose_pair((exp_seq.g, exp_seq.f), r)
         assert built == [r.f]
 
     def test_inverse_of_associated_sequence_composes_nothing(self, monkeypatch, log_seq):
@@ -277,7 +297,7 @@ class TestPairCost:
     def test_pair_construction_inverts_and_composes_nothing(
             self, monkeypatch, log_seq, exp_seq, appell_seq):
         pairs = [(s.g, s.f) for s in (log_seq, exp_seq, appell_seq)]
-        pairs.append(compose_pair(appell_seq, log_seq))
+        pairs.append(compose_pair((appell_seq.g, appell_seq.f), log_seq))
         expected = [generating_identity_rows(g, f, N) for g, f in pairs]
 
         def refuse(*args):

@@ -13,6 +13,11 @@ as an attribute: dead private code fails here.  So is every public method of
 a package class (dunders aside) and every module-level public function: one
 that only tests call fails too.  A public function counts as referenced only
 when code reads it; the strings of ``__all__`` and ``__init__._LAZY`` do not.
+
+These rules match names, so they cannot see a dead dunder (``__rsub__``,
+``__pow__``), and a method counts as read when any class's method of the same
+name is.  ``tests/unreached.py`` finds those: it lists every package function
+that no benchmark request enters.
 """
 
 import ast
