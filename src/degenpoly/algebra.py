@@ -278,10 +278,14 @@ def lp_conv(a, b, k: int) -> LambdaPoly:
     return lp_dot(zip(a[max(0, k + 1 - len(b)):], reversed(b[: k + 1])))
 
 
-def _as_lambda_poly(value) -> "LambdaPoly":
+def as_lambda_poly(value) -> LambdaPoly:
+    """A LambdaPoly as itself and a scalar as a constant; any other value,
+    "p/q" text included, is refused."""
     if isinstance(value, LambdaPoly):
         return value
-    return LambdaPoly.const(value)
+    if is_scalar(value):
+        return LambdaPoly.const(value)
+    raise TypeError(f"{value!r} is not a scalar or λ-polynomial")
 
 
 class XPoly:
@@ -290,7 +294,7 @@ class XPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=()):
-        self._c = _trim([_as_lambda_poly(c) for c in coeffs])
+        self._c = _trim([as_lambda_poly(c) for c in coeffs])
 
     @classmethod
     def zero(cls) -> "XPoly":
@@ -307,7 +311,7 @@ class XPoly:
 
     @classmethod
     def const(cls, value) -> "XPoly":
-        value = _as_lambda_poly(value)
+        value = as_lambda_poly(value)
         return cls((value,)) if value else _XP_ZERO
 
     @property

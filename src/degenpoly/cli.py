@@ -143,8 +143,7 @@ def _check_order(order: int) -> int:
 # Kept as a name of its own: perfbench/tracing.py (CLI_BUILD),
 # perfbench/record_digests.py and tests/check_digests.py wrap the CLI's build
 # step by this name.
-def _build_triangle(kind: str, order: int):
-    return build_triangle(kind, order)
+_build_triangle = build_triangle
 
 
 def _build_slice(kind: str, order: int, r: int):

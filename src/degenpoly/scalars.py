@@ -58,13 +58,6 @@ def as_scalar(value) -> Scalar:
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
-def scalar_inv(value) -> Scalar:
-    """Exact reciprocal; guaranteed to return a rational even for int input."""
-    if not value:
-        raise ZeroDivisionError("reciprocal of zero")
-    return QONE / as_scalar(value)
-
-
 def scalar_str(value) -> str:
     """Canonical "num/den" rendering (denominator omitted when 1)."""
     return str(as_scalar(value))

@@ -42,6 +42,11 @@ which the test suite checks coefficientwise and through round trips.
 e_λ(u) - 1 ("exp"), log_λ(1 + u) ("log") and exp(u) - 1 ("classical"), of t
 or of an inner delta series u; no other module calls the three maps above.
 
+Each input rule is one function: ``check_delta`` (f(0) = 0 and, with
+``invertible``, a linear coefficient that ``unit_scalar`` accepts), and
+``unit_scalar``, the value of a nonzero λ-free coefficient, which also gives
+``mul_inverse`` its constant term.
+
 Powers of a series are read from one running power, ``powers``.  So are
 ``comp_inverse``, by Lagrange inversion: [t^n] fbar = (1/n) [t^(n-1)] (t/f)^n,
 and ``compose``: at a fixed delta series u, f -> f(u) is linear, and
@@ -51,8 +56,8 @@ matrix up to n!/k! (Shapiro et al., Discrete Appl. Math. 34, 1991).
 
 from __future__ import annotations
 
-from .algebra import LambdaPoly, lp_conv, lp_dot, xp_dot
-from .scalars import QONE, is_scalar, scalar_inv
+from .algebra import LambdaPoly, as_lambda_poly, lp_conv, lp_dot, xp_dot
+from .scalars import QONE
 
 
 class Series:
@@ -61,17 +66,9 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(self._coerce(c) for c in coeffs)
+        self.coeffs = tuple(map(as_lambda_poly, coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least its constant coefficient")
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, LambdaPoly):
-            return value
-        if is_scalar(value):
-            return LambdaPoly.const(value)
-        raise TypeError(f"coefficient {value!r} is not a λ-polynomial")
 
     @classmethod
     def one(cls, order: int) -> "Series":
@@ -167,13 +164,7 @@ def deg_exp(exponent, order: int, inner: Series | None = None) -> Series:
     """Deformed exponential e_λ^w(u(t)) = (1 + λu)^(w/λ) of a delta series u
     (u = t when inner is None) for a scalar or λ-polynomial exponent w: sum
     of (w)_{k,λ} u^k/k!, from the recurrence ``deg_exp_coeffs``."""
-    if is_scalar(exponent):
-        exponent = LambdaPoly.const(exponent)
-    elif not isinstance(exponent, LambdaPoly):
-        raise TypeError(
-            f"exponent must be a scalar or λ-polynomial, got {type(exponent).__name__}"
-        )
-    return Series(deg_exp_coeffs(exponent, _inner_at(order, inner)))
+    return Series(deg_exp_coeffs(as_lambda_poly(exponent), _inner_at(order, inner)))
 
 
 def _inner_at(order: int, inner: Series | None) -> Series:
@@ -195,7 +186,7 @@ def deg_exp_coeffs(exponent, inner: Series, a=LambdaPoly.var()) -> list:
     n·f_n = w·[t^(n-1)] u'F - [t^(n-1)] a·u·F'.  For u = t this is the
     falling product f_n = f_(n-1)·(w - (n-1)a)/n.
     """
-    _check_delta(inner)
+    check_delta(inner)
     order = inner.order
     ring = type(exponent)
     dot = lp_dot if ring is LambdaPoly else xp_dot
@@ -254,19 +245,23 @@ def substitution(u: Series):
     """The map outer -> outer(u), to the lower of the two orders, for a delta
     series u, read from the table u^0..u^N built once by ``powers``:
     [t^m] f(u) = Σ_k f_k [t^m] u^k is one ``lp_dot``."""
-    _check_delta(u)
+    check_delta(u)
     table = [Series.one(u.order), *powers(u, u, u.order - 1)]
     columns = [[power.coeffs[m] for power in table[: m + 1]] for m in range(u.order + 1)]
     return lambda outer: Series([lp_dot(zip(outer.coeffs, column))
                                  for column in columns[: outer.order + 1]])
 
 
-def _check_delta(inner: Series) -> None:
-    if inner.coeffs[0]:
-        raise ValueError(
-            f"inner series has nonzero constant term {inner.coeffs[0]}; "
-            "only delta series can be substituted"
-        )
+def check_delta(f: Series, invertible: bool = False) -> None:
+    """Refuse a series with a nonzero constant term and, if ``invertible``,
+    one with no linear term or a linear coefficient that ``unit_scalar``
+    refuses: the delta series that can be inverted by composition."""
+    if f.coeffs[0]:
+        raise ValueError(f"not a delta series: nonzero constant term {f.coeffs[0]}")
+    if invertible:
+        if f.order < 1:
+            raise ValueError("not a delta series: no linear term")
+        unit_scalar(f.coeffs[1], "linear coefficient")
 
 
 def comp_inverse(f: Series) -> Series:
@@ -276,16 +271,7 @@ def comp_inverse(f: Series) -> Series:
     from one running power of φ.  Requires f(0) = 0 and a λ-free nonzero
     rational linear coefficient (the invertible constant term of φ).
     """
-    if f.coeffs[0]:
-        raise ValueError(
-            f"not a delta series: constant term is {f.coeffs[0]}, expected 0"
-        )
-    if f.order < 1:
-        raise ValueError("cannot invert a series truncated below order 1")
-    if unit_scalar(f.coeffs[1]) is None:
-        raise ValueError(
-            f"linear coefficient {f.coeffs[1]} is not an invertible rational constant"
-        )
+    check_delta(f, invertible=True)
     phi = mul_inverse(f.shift_down())
     return Series([LambdaPoly.zero()] + [
         power.coeffs[n - 1] * (QONE / n)
@@ -295,12 +281,7 @@ def comp_inverse(f: Series) -> Series:
 
 def mul_inverse(f: Series) -> Series:
     """Multiplicative inverse: the series g with f*g = 1 mod t^(N+1)."""
-    head = unit_scalar(f.coeffs[0])
-    if head is None:
-        raise ValueError(
-            f"constant term {f.coeffs[0]} is not an invertible rational constant"
-        )
-    inv = scalar_inv(head)
+    inv = QONE / unit_scalar(f.coeffs[0], "constant term")
     tail = f.coeffs[1:]
     out = [LambdaPoly.one() * inv]
     for n in range(1, f.order + 1):
@@ -328,7 +309,10 @@ def compositional_power(f: Series, m: int) -> Series:
     return result
 
 
-def unit_scalar(coeff: LambdaPoly):
-    """The scalar value of a nonzero λ-free coefficient, else None."""
+def unit_scalar(coeff: LambdaPoly, what: str):
+    """The scalar value of a nonzero λ-free coefficient; any other is refused,
+    named in the message by ``what``."""
     value = coeff.constant_value()
-    return value if value else None
+    if not value:
+        raise ValueError(f"{what} {coeff} is not an invertible rational constant")
+    return value

@@ -41,7 +41,7 @@ from .algebra import LambdaPoly, XPoly, lp_dot, xp_dot
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q
 # compose is not called here: perfbench/test_perfbench.py reads triangles.compose.
-from .series import DELTA_MAPS, Series, compose, mul_inverse, powers
+from .series import DELTA_MAPS, Series, check_delta, compose, mul_inverse, powers
 
 # The λ = 0 rows of s2, and the verify checks eq17 and classical, read the
 # partition enumeration up to n = 10, not to oracles.ORACLE_LIMIT = 12, for
@@ -82,8 +82,7 @@ def egf_triangle_rows(f: Series, prefactor: Series | None = None):
     """rows[n][k] = n!/k! * [t^n] prefactor(t)·f(t)^k for a delta series f,
     n up to f's order, with prefactor 1 when omitted (a Sheffer matrix
     passes its g)."""
-    if f.coeffs[0]:
-        raise ValueError("EGF extraction needs a delta series")
+    check_delta(f)
     order = f.order
     facts = [factorial(n) for n in range(order + 1)]
     start = Series.one(order) if prefactor is None else prefactor

@@ -52,6 +52,7 @@ from .scalars import QONE
 from .series import (
     DELTA_MAPS,
     Series,
+    check_delta,
     comp_inverse,
     compose,
     compositional_power,
@@ -92,16 +93,9 @@ def sheffer_from_pair(g: Series, f: Series) -> ShefferSeq:
     each.  That it equals n!/k! [t^n] (1/g(fbar)) fbar^k, the generating
     identity, is what thm14's inverse facts check."""
     order = min(g.order, f.order)
-    if order < 1:
-        raise ValueError("sequence order must be >= 1 (the delta series needs a linear term)")
-    if unit_scalar(g.coeffs[0]) is None:
-        raise ValueError(f"g is not invertible: constant term {g.coeffs[0]}")
-    if f.coeffs[0] or unit_scalar(f.coeffs[1]) is None:
-        raise ValueError(
-            f"f is not a delta series with invertible linear term "
-            f"(constant {f.coeffs[0]}, linear {f.coeffs[1]})"
-        )
     g, f = g.truncate(order), f.truncate(order)
+    unit_scalar(g.coeffs[0], "g's constant term")
+    check_delta(f, invertible=True)
     riordan = egf_triangle_rows(f, g)
     rows = []
     for n, r_row in enumerate(riordan):

@@ -2,12 +2,14 @@
 triangle or family kind raises RouteMismatchError naming that kind.
 
 Each test perturbs a route through the kind tables, the one place the
-builders, the CLI and the identity suite read their kinds from.
+builders, the CLI and the identity suite read their kinds from, except the
+extra-term case, which wraps the family series route itself.
 """
 
 import pytest
 
-from degenpoly.algebra import LambdaPoly
+from degenpoly import families
+from degenpoly.algebra import LambdaPoly, XPoly
 from degenpoly.families import FAMILIES, FAMILY_KINDS, build_family
 from degenpoly.series import Series
 from degenpoly.triangles import (
@@ -95,6 +97,22 @@ def test_a_wrong_family_series_names_the_kind(monkeypatch, kind):
 
     monkeypatch.setitem(FAMILIES, kind, spec._replace(inner=inner))
     with pytest.raises(RouteMismatchError, match=rf"^{kind} routes disagree at n=3:"):
+        build_family(kind, ORDER)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_an_extra_family_term_names_the_kind(monkeypatch, kind):
+    # members are compared as whole x-polynomials, so a term above a member's
+    # degree is caught like a wrong coefficient
+    egf_route = families._egf_route
+
+    def route(inner):
+        polys = egf_route(inner)
+        polys[2] = polys[2] + XPoly([0, 0, 0, 1])
+        return polys
+
+    monkeypatch.setattr(families, "_egf_route", route)
+    with pytest.raises(RouteMismatchError, match=rf"^{kind} routes disagree at n=2:"):
         build_family(kind, ORDER)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from degenpoly.scalars import Q, as_scalar, is_scalar, scalar_inv, scalar_str
+from degenpoly.scalars import Q, as_scalar, is_scalar, scalar_str
 
 
 class TestCoercion:
@@ -39,18 +39,6 @@ class TestRendering:
     def test_num_den_form(self):
         assert scalar_str(Q(-3, 6)) == "-1/2"
         assert scalar_str(Fraction(5, 15)) == "1/3"
-
-
-class TestInverse:
-    def test_exact_reciprocal(self):
-        assert scalar_inv(Q(3, 4)) == Q(4, 3)
-        # int input must not produce a float
-        value = scalar_inv(4)
-        assert value == Q(1, 4) and not isinstance(value, float)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            scalar_inv(0)
 
 
 def test_everything_stays_exact():

@@ -21,6 +21,8 @@ from degenpoly.series import (
     powers,
     substitution,
 )
+from degenpoly.triangles import egf_triangle_rows
+from degenpoly.umbral import sheffer_from_pair
 from xseries import deg_exp_x, horner
 
 
@@ -38,9 +40,9 @@ class TestConstructors:
         assert coeffs == [XPoly.one(), XPoly.var()]
 
     def test_series_rejects_x_polynomial_coefficients(self):
-        with pytest.raises(TypeError, match="not a λ-polynomial"):
+        with pytest.raises(TypeError, match="not a scalar or λ-polynomial"):
             Series([LambdaPoly.one(), XPoly.var()])
-        with pytest.raises(TypeError, match="not a λ-polynomial"):
+        with pytest.raises(TypeError, match="not a scalar or λ-polynomial"):
             deg_log(3) + XPoly.var()
 
     def test_deg_exp_rejects_an_x_polynomial_exponent(self):
@@ -374,14 +376,50 @@ def test_deg_exp_coeffs_reads_the_order_of_its_inner_series():
 
 
 def test_deg_exp_rejects_nonzero_constant_term_like_compose():
+    # every caller of check_delta refuses a non-delta series with one message
     not_delta = deg_exp(1, 4)
     with pytest.raises(ValueError) as horner_route:
         compose(deg_exp(1, 4), not_delta)
     for recurrence_route in (lambda: deg_exp_coeffs(XPoly.var(), not_delta),
-                             lambda: deg_log(4, not_delta)):
+                             lambda: deg_log(4, not_delta),
+                             lambda: comp_inverse(not_delta),
+                             lambda: sheffer_from_pair(Series.one(4), not_delta),
+                             lambda: egf_triangle_rows(not_delta)):
         with pytest.raises(ValueError, match="constant term") as recurrence:
             recurrence_route()
         assert str(recurrence.value) == str(horner_route.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: comp_inverse(Series([0])),
+    lambda: sheffer_from_pair(Series.one(3), Series.identity(0)),
+], ids=["comp_inverse", "sheffer_from_pair"])
+def test_both_inverting_callers_refuse_a_series_with_no_linear_term(build):
+    with pytest.raises(ValueError, match="^not a delta series: no linear term$"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: mul_inverse(deg_log(3)), "constant term 0"),
+    (lambda: sheffer_from_pair(Series([lp(0, 1), lp(1)]), deg_log(1)), "g's constant term λ"),
+    (lambda: comp_inverse(Series([lp(0), lp(0, 1), lp(1)])), "linear coefficient λ"),
+], ids=["mul_inverse", "sheffer_from_pair-g", "comp_inverse-linear"])
+def test_every_unit_scalar_caller_names_its_coefficient(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == f"{message} is not an invertible rational constant"
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: Series([LambdaPoly.one(), XPoly.var()]), XPoly.var()),
+    (lambda: XPoly([1, "1/2"]), "1/2"),
+    (lambda: XPoly.const(XPoly.var()), XPoly.var()),
+    (lambda: deg_exp(XPoly.var(), 4), XPoly.var()),
+], ids=["Series", "XPoly-text", "XPoly.const", "deg_exp"])
+def test_every_as_lambda_poly_caller_refuses_one_way(build, value):
+    with pytest.raises(TypeError) as refused:
+        build()
+    assert str(refused.value) == f"{value!r} is not a scalar or λ-polynomial"
 
 
 @pytest.mark.parametrize("build", [
