@@ -17,7 +17,8 @@ Most closures are built from a few shared pieces:
 * check factories: ``_triangle_route_check`` and ``_family_route_check``
   compare a kind's two routes, ``_product_check`` a triangle with a product
   of two others, ``_expansion_check`` a sequence with the row sums of a
-  family, ``_slice_check`` a triangle with sums over number slices, and
+  family, ``_slice_check`` a triangle with a power of a matrix built from
+  a number-slice table, and
   ``_umbral_family_check`` a family with the polynomials of r²∘fall, read
   from the workspace's product of coefficient matrices.
 
@@ -39,10 +40,10 @@ Results come back in registration order, so suite output is byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache, reduce
 from math import comb, factorial
 
-from .algebra import LambdaPoly, XPoly, falling_products, specialize
+from .algebra import LambdaPoly, XPoly, falling_products, lp_dot, specialize
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q
 from .triangles import (
@@ -214,36 +215,24 @@ def _expansion_check(target, family: str, triangle: str):
     return check
 
 
-def _slice_sum(table, m: int, n: int, k: int):
-    """Σ over k_m + ... + k_1 = n - k of (n-1)!/(k_1!...k_m!(k-1)!) times
-    table[n][k_m]·table[n-k_m][k_(m-1)]·...·table[k+k_1][k_1]."""
-    rest = n - k
-    acc = LambdaPoly.zero()
-    for head in product(range(rest + 1), repeat=m - 1):
-        last = rest - sum(head)
-        if last < 0:
-            continue
-        top, term, denominator = n, None, factorial(k - 1)
-        for part in head + (last,):
-            entry = table[top][part]
-            term = entry if term is None else term * entry
-            top -= part
-            denominator *= factorial(part)
-        acc = acc + term * (factorial(n - 1) // denominator)
-    return acc
-
-
 def _slice_check(slices: str, m: int, *kinds: str):
     """A check that entry (n, k), 1 <= k <= n, of the product of the
-    ``kinds`` triangles is the m-fold slice sum of a slice kind's table."""
+    ``kinds`` triangles is the m-fold slice sum of a slice kind's table:
+    Σ over k_m + ... + k_1 = n - k of (n-1)!/(k_1!...k_m!(k-1)!) times
+    table[n][k_m]·table[n-k_m][k_(m-1)]·...·table[k+k_1][k_1].
+
+    The multinomial is a product of binomials C(a-1, a-b), one per step
+    a → b of the chain n → n-k_m → ... → k, so the sum is entry (n, k) of
+    stepᵐ, where step[a][b] = C(a-1, a-b)·table[a][a-b] for 1 <= b <= a."""
     def check(ws, order):
-        rows = ws.tri(kinds[0])
-        for kind in kinds[1:]:
-            rows = convolution_rows(rows[: order + 1], ws.tri(kind))
+        rows = reduce(convolution_rows, [ws.tri(kind)[: order + 1] for kind in kinds])
         table = ws.slice_table(slices, order)
+        step = [[comb(a - 1, a - b) * table[a][a - b] if b else LambdaPoly.zero()
+                 for b in range(a + 1)] for a in range(order + 1)]
+        sums = reduce(convolution_rows, [step] * m)
         for n in range(1, order + 1):
             for k in range(1, n + 1):
-                yield f"(n={n}, k={k})", rows[n][k], _slice_sum(table, m, n, k)
+                yield f"(n={n}, k={k})", rows[n][k], sums[n][k]
     return check
 
 
@@ -308,14 +297,12 @@ def _check_thm6(ws, order):
     bell = [[p.eval_x(l) for l in range(order + 1)] for p in ws.family("degbell")]
     zero = LambdaPoly.zero()
     for k in range(order + 1):
+        weights = [LambdaPoly.const(Q((-1) ** (k - l) * comb(k, l), factorial(k)))
+                   for l in range(k + 1)]
         for n in range(order + 1):
-            acc = zero
-            for l in range(k + 1):
-                sign = 1 if (k - l) % 2 == 0 else -1
-                acc = acc + bell[n][l] * (sign * comb(k, l))
             expected = j2[n][k] if n >= k else zero
             tag = "vanishing " if n < k else ""
-            yield f"{tag}(n={n}, k={k})", acc * Q(1, factorial(k)), expected
+            yield f"{tag}(n={n}, k={k})", lp_dot(zip(bell[n], weights)), expected
 
 
 def _check_eq34(ws, order):
@@ -365,15 +352,9 @@ def _check_thm14(ws, order):
         ident.matrix, _identity_rows(order), order, "identity pair (n={n}, k={k})")
 
     # each distinct predicted pair, every one at the check order, is
-    # regenerated once; the dict holds regenerations only, never a workspace
+    # regenerated once; the cache holds regenerations only, never a workspace
     # sequence, so no fact reads one matrix on both sides
-    regenerated = {}
-
-    def regen(g, f):
-        key = (g, f)
-        if key not in regenerated:
-            regenerated[key] = _umbral.sheffer_from_pair(g, f)
-        return regenerated[key]
+    regen = cache(_umbral.sheffer_from_pair)
 
     named = [
         ("t", ident),

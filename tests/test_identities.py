@@ -86,6 +86,18 @@ class TestResults:
         assert len(results) == len(identity_ids(include_stretch=False))
         assert all(r.passed for r in results)
 
+    def test_slice_checks_hold_uncapped_at_sixteen(self):
+        # verify caps these at 10 (m = 1, 2) and 8 (m = 3); one fact per
+        # entry 1 <= k <= n <= 16
+        from degenpoly import identities
+
+        ws = identities._Workspace(16)
+        for side in ("s31", "s32"):
+            for m in (1, 2, 3):
+                facts = list(identities._BY_ID[f"{side}-m{m}"].fn(ws, 16))
+                assert len(facts) == 136
+                assert identities._first_failure(facts) is None
+
     def test_deterministic_output(self):
         config = SuiteConfig(order=4)
         assert run_suite(config) == run_suite(config)

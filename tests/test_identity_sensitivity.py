@@ -111,9 +111,9 @@ CORRUPTIONS = {
     "eq66": _artifact("seq", "s1", _sequence),
     "cor15": _artifact("seq", "s2", _sequence),
     "s31-m1": _artifact("slice_table", "korobov", _slices),
-    "s31-m2": _artifact("tri", "j2deg", _bumped_rows),
+    "s31-m2": _artifact("slice_table", "korobov", _slices),
     "s32-m1": _artifact("slice_table", "degbernoulli", _slices),
-    "s32-m2": _artifact("tri", "j1deg", _bumped_rows),
+    "s32-m2": _artifact("slice_table", "degbernoulli", _slices),
     "s31-m3": _artifact("slice_table", "korobov", _slices),
     "s32-m3": _artifact("slice_table", "degbernoulli", _slices),
     "degbound": _artifact("tri", "s2deg", _bumped_rows),

@@ -8,9 +8,10 @@ one of them can make both routes wrong alike; the route check then stays
 quiet, and only an identity that reads the kernel through an independent
 statement can catch it.  The suite's shared workspace products (an umbral
 power, r²∘fall) are mutated the same way: each is read by one side of
-several checks.  So is the key of thm14's regenerated pairs, which must
-tell every predicted pair apart.  Each row names the file, a source line
-fragment found there exactly once, and the fragment that replaces it.
+several checks.  So are the reference sides that only the identity suite
+computes: the step matrix whose power gives the slice sums, and thm6's
+alternating weights.  Each row names the file, a source line fragment found
+there exactly once, and the fragment that replaces it.
 """
 
 import os
@@ -45,9 +46,8 @@ MUTANTS = {
                             "r.fbar.truncate(order), m - 1)"),
     "squared-fall-times-ident": ("identities.py", 'self.seq("fall", order).matrix',
                                  'self.seq("ident", order).matrix'),
-    "thm14-regeneration-key": ("identities.py",
-                               "key = (g, f)",
-                               "key = f"),
+    "slice-step-binomial": ("identities.py", "comb(a - 1, a - b)", "comb(a, a - b)"),
+    "thm6-weight-sign": ("identities.py", "(-1) ** (k - l)", "(-1) ** l"),
     "classical-map-a": ("series.py",
                         "deg_exp_coeffs(LambdaPoly.one(), _inner_at(order, inner), 0)",
                         "deg_exp_coeffs(LambdaPoly.one(), _inner_at(order, inner), 1)"),
