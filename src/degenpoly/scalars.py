@@ -22,8 +22,6 @@ from fractions import Fraction
 
 Q = Fraction
 
-Scalar = object  # int | Fraction; kept loose on purpose
-
 _SCALAR_TYPES = (int, Fraction)
 
 QZERO = Q(0)
@@ -40,7 +38,7 @@ def is_scalar(value) -> bool:
     return isinstance(value, _SCALAR_TYPES)
 
 
-def as_scalar(value) -> Scalar:
+def as_scalar(value) -> int | Fraction:
     """Coerce ints, Fractions, and "p/q" strings to the scalar type.
 
     Floats are rejected: no rounding ever occurs anywhere in the package.

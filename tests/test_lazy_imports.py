@@ -1,6 +1,7 @@
-"""Start-up cost: a triangle, poly or eval request imports neither the
-identity suite, the umbral layer nor ``dataclasses``; the package re-exports
-them on first use."""
+"""Start-up cost: ``import degenpoly`` loads no submodule and binds no public
+name (each name is imported from the module that defines it), and a
+triangle, poly or eval request imports neither the identity suite, the
+umbral layer nor ``dataclasses``."""
 
 import json
 import subprocess
@@ -24,17 +25,14 @@ assert cli.main(["verify", "--order", "2"]) == 0
 sys.stderr.write(json.dumps([loaded, "degenpoly.identities" in sys.modules]))
 """
 
-PACKAGE_NAMES = [
-    "CheckResult", "FAMILY_KINDS", "LambdaPoly", "RouteMismatchError",
-    "SEQUENCES", "SLICE_KINDS", "Series", "ShefferSeq", "SuiteConfig", "TRIANGLE_KINDS",
-    "UnknownIdentityError", "XPoly", "algebra", "bell_number_classical",
-    "build_family", "build_triangle", "classical_exp", "comp_inverse", "compose",
-    "compositional_power", "deg_exp", "deg_log", "describe_identities", "families",
-    "identities", "identity_ids", "inverse_pair", "mul_inverse", "oracles",
-    "partition_oracle", "run_suite", "scalars", "series", "sheffer_from_pair",
-    "signed_cycle_oracle", "specialize", "triangles", "umbral", "umbral_compose",
-    "umbral_power",
-]
+ROOT_PROBE = """
+import json, sys
+import degenpoly
+sys.stderr.write(json.dumps([
+    sorted(m for m in sys.modules if m.startswith("degenpoly.")),
+    sorted(n for n in vars(degenpoly) if not n.startswith("_")),
+]))
+"""
 
 
 def test_requests_other_than_verify_load_no_suite():
@@ -46,15 +44,11 @@ def test_requests_other_than_verify_load_no_suite():
     assert verify_loaded_suite
 
 
-def test_package_names_all_resolve():
-    assert degenpoly.__all__ == PACKAGE_NAMES
-    for name in PACKAGE_NAMES:
-        assert getattr(degenpoly, name) is not None, name
-    from degenpoly import identities, umbral
-
-    assert degenpoly.run_suite is identities.run_suite
-    assert degenpoly.umbral_power is umbral.umbral_power
-    assert degenpoly.umbral is umbral
+def test_package_root_loads_no_submodule_and_binds_no_name():
+    probe = subprocess.run(
+        [sys.executable, "-c", ROOT_PROBE], capture_output=True, text=True, check=True
+    )
+    assert json.loads(probe.stderr) == [[], []]
 
 
 def test_unknown_package_name_raises_attribute_error():

@@ -2,17 +2,17 @@
 ``ast`` stand-in for a linter's unused-import rule.
 
 A name counts as used when it appears as a bare name (an attribute access
-``a.b`` reads ``a``) or inside a string annotation.  ``__init__.py`` is
-exempt, since it imports to re-export, as is a name listed in a module's
-``__all__``.  ``triangles.compose`` is exempt as well: the benchmark's
-tracing test reads it there (and ``identities.identity_ids``, below).
+``a.b`` reads ``a``) or inside a string annotation.  The package root is
+checked too, so a re-export there fails.  ``triangles.compose`` is exempt:
+the benchmark's tracing test reads it there (and ``identities.identity_ids``,
+below).
 
 Every module-level private function or class (one whose name starts with a
 single underscore) is referenced somewhere in the package, as a bare name or
 as an attribute: dead private code fails here.  So is every public method of
 a package class (dunders aside) and every module-level public function: one
 that only tests call fails too.  A public function counts as referenced only
-when code reads it; the strings of ``__all__`` and ``__init__._LAZY`` do not.
+when code reads it; no string does.
 
 These rules match names, so they cannot see a dead dunder (``__rsub__``,
 ``__pow__``), and a method counts as read when any class's method of the same
@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "degenpoly"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 EXEMPT = {("triangles", "compose"), ("identities", "identity_ids")}
 
 
@@ -54,17 +54,9 @@ def _used(tree):
     return names
 
 
-def _exported(tree):
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    used = _used(tree) | _exported(tree)
+    used = _used(tree)
     return [(name, line) for name, line in _imported(tree)
             if name not in used and (path.stem, name) not in EXEMPT]
 
