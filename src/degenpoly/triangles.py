@@ -40,8 +40,7 @@ from typing import NamedTuple
 from .algebra import LambdaPoly, XPoly, lp_dot, xp_dot
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
 from .scalars import Q
-# compose is not called here: perfbench/test_perfbench.py reads triangles.compose.
-from .series import DELTA_MAPS, Series, check_delta, compose, mul_inverse, powers
+from .series import DELTA_MAPS, Series, check_delta, mul_inverse, powers
 
 # The λ = 0 rows of s2, and the verify checks eq17 and classical, read the
 # partition enumeration up to n = 10, not to oracles.ORACLE_LIMIT = 12, for
@@ -278,3 +277,13 @@ SLICES = {
     "degbernoulli": lambda order, max_r: deg_bernoulli_table(order, max_r),
 }
 SLICE_KINDS = tuple(SLICES)
+
+
+def __getattr__(name):
+    # The benchmark's tracing test reads triangles.compose; it is series.compose
+    # as that module binds it now, so a tracer's wrap and restore both show here.
+    if name == "compose":
+        from .series import compose
+
+        return compose
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

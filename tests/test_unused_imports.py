@@ -3,9 +3,7 @@
 
 A name counts as used when it appears as a bare name (an attribute access
 ``a.b`` reads ``a``) or inside a string annotation.  The package root is
-checked too, so a re-export there fails.  ``triangles.compose`` is exempt:
-the benchmark's tracing test reads it there (and ``identities.identity_ids``,
-below).
+checked too, so a re-export there fails.
 
 Every module-level private function or class (one whose name starts with a
 single underscore) is referenced somewhere in the package, as a bare name or
@@ -27,7 +25,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "degenpoly"
 MODULES = sorted(PACKAGE.glob("*.py"))
-EXEMPT = {("triangles", "compose"), ("identities", "identity_ids")}
+# the benchmark's tracing test reads identities.identity_ids
+EXEMPT = {("identities", "identity_ids")}
 
 
 def _imported(tree):
@@ -57,8 +56,7 @@ def _used(tree):
 def unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used(tree)
-    return [(name, line) for name, line in _imported(tree)
-            if name not in used and (path.stem, name) not in EXEMPT]
+    return [(name, line) for name, line in _imported(tree) if name not in used]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -106,7 +104,7 @@ def unreferenced_private_definitions(paths):
 
 
 def test_no_unreferenced_private_definitions():
-    assert unreferenced_private_definitions(sorted(PACKAGE.glob("*.py"))) == []
+    assert unreferenced_private_definitions(MODULES) == []
 
 
 def test_check_sees_an_unreferenced_private_definition(tmp_path):
@@ -139,7 +137,7 @@ def unreferenced_public_methods(paths):
 
 
 def test_no_unreferenced_public_method():
-    assert unreferenced_public_methods(sorted(PACKAGE.glob("*.py"))) == []
+    assert unreferenced_public_methods(MODULES) == []
 
 
 def test_check_sees_an_unreferenced_public_method(tmp_path):
@@ -179,7 +177,7 @@ def unreferenced_public_functions(paths):
 
 
 def test_no_unreferenced_public_function():
-    assert unreferenced_public_functions(sorted(PACKAGE.glob("*.py"))) == []
+    assert unreferenced_public_functions(MODULES) == []
 
 
 def test_check_sees_an_unreferenced_public_function(tmp_path):
