@@ -34,15 +34,16 @@ sparse maps.
 
 λ is symbolic by default: identities are verified as polynomial identities in
 λ, which is strictly stronger than checking them at particular real values.
-``specialize`` substitutes rational values for λ (and optionally x) for spot
-checks, the λ→0 degeneration checks, and the CLI.
+``specialize`` substitutes a rational λ, and ``XPoly.eval_x`` a rational x,
+for spot checks, the λ→0 degeneration checks, and the CLI.  Every scalar
+argument is an ``int`` or a ``Fraction``; text is the CLI's to parse.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import Q, QZERO, as_scalar, is_scalar, scalar_str
+from .scalars import Q, QZERO, is_scalar
 
 
 def _trim(coeffs: list) -> tuple:
@@ -53,11 +54,12 @@ def _trim(coeffs: list) -> tuple:
 
 
 def _ratio(value) -> tuple:
-    """(numerator, denominator) of a scalar as plain ints."""
+    """(numerator, denominator) of an int or a Fraction as plain ints."""
     if type(value) is int:
         return value, 1
-    value = as_scalar(value)
-    return int(value.numerator), int(value.denominator)
+    if not is_scalar(value):
+        raise TypeError(f"{value!r} is not an int or a Fraction")
+    return value.numerator, value.denominator
 
 
 def _make(nums: tuple, den: int) -> "LambdaPoly":
@@ -84,7 +86,7 @@ def _reduced(nums: list, den: int) -> "LambdaPoly":
 class LambdaPoly:
     """Dense polynomial in λ over the exact rationals: int numerators over one
     shared positive denominator, in canonical form.  Built from an iterable
-    of ascending coefficients: ints, rationals or "p/q" strings."""
+    of ascending int or Fraction coefficients."""
 
     __slots__ = ("_n", "_d")
 
@@ -213,10 +215,10 @@ class LambdaPoly:
 
     def eval(self, lam):
         """Exact Horner evaluation at a rational λ, homogenised in ints."""
+        p, q = _ratio(lam)
         nums = self._n
         if not nums:
             return QZERO
-        p, q = _ratio(lam)
         acc = nums[-1]
         scale = 1
         for c in reversed(nums[:-1]):
@@ -392,7 +394,6 @@ class XPoly:
 
     def eval_x(self, x_value) -> LambdaPoly:
         """Horner evaluation at a rational x, leaving λ symbolic."""
-        x_value = as_scalar(x_value)
         acc = _LP_ZERO
         for c in reversed(self._c):
             acc = acc * x_value + c
@@ -438,7 +439,7 @@ def _poly_str(coeffs, name: str) -> str:
                 body = _term_str(f"({inner})", i, name)
         else:
             negate = c < 0
-            body = _term_str(scalar_str(-c if negate else c), i, name)
+            body = _term_str(str(-c if negate else c), i, name)
         if not parts:
             parts.append(f"-{body}" if negate else body)
         else:
@@ -465,20 +466,15 @@ def falling_products(first, step, count: int) -> list:
     return out
 
 
-def specialize(poly, lambda_value, x_value=None):
-    """Substitute a rational λ (and optionally x) into a polynomial.
+def specialize(poly, lambda_value):
+    """Substitute a rational λ into a polynomial.
 
     * LambdaPoly → scalar.
-    * XPoly with ``x_value`` → scalar.
-    * XPoly without ``x_value`` → polynomial in x with rational coefficients,
-      returned as a LambdaPoly-shaped dense coefficient list.
+    * XPoly → polynomial in x with rational coefficients, returned as a
+      LambdaPoly-shaped dense coefficient list.
     """
     if isinstance(poly, LambdaPoly):
-        if x_value is not None:
-            raise ValueError("x_value only applies to polynomials in x")
         return poly.eval(lambda_value)
     if isinstance(poly, XPoly):
-        lam = as_scalar(lambda_value)
-        values = LambdaPoly([c.eval(lam) for c in poly.coeffs])
-        return values if x_value is None else values.eval(x_value)
+        return LambdaPoly([c.eval(lambda_value) for c in poly.coeffs])
     raise TypeError(f"cannot specialize {type(poly).__name__}")

@@ -35,14 +35,16 @@ import sys
 from . import __version__
 from .algebra import LambdaPoly, XPoly, specialize
 from .families import FAMILY_KINDS, build_family
-from .scalars import as_scalar, is_scalar, scalar_str
+from .scalars import as_scalar, is_scalar
 from .triangles import SLICE_KINDS, SLICES, TRIANGLE_KINDS, build_triangle
 
-# What the limit costs, one process per request (best of 10; Python 3.11.7,
-# Fraction scalars, 2-CPU shared Linux host): poly --order 24 takes 0.13 s
-# (degbell), 0.11 s (newbell), 0.14 s (jindalrae) and 0.15 s (gaenari);
-# triangle --order 24 of j1deg/j2deg takes 0.12/0.11 s; verify --order 24
-# (the 38 default checks, symbolic only, default table output) takes 0.67 s.
+# What the limit costs, one process per request (best of 10, in each of two
+# runs; Python 3.11.7, Fraction scalars, 2-CPU shared Linux host): poly
+# --order 24 takes 0.16-0.18 s (degbell), 0.11-0.12 s (newbell), 0.15-0.16 s
+# (jindalrae) and 0.15-0.16 s (gaenari); triangle --order 24 of j1deg/j2deg
+# takes 0.11-0.12 s; verify --order 24 (the 38 default checks, symbolic only,
+# default table output) takes 0.67-0.69 s, and has read 0.84 s on a busier
+# host.
 MAX_ORDER = 24
 
 
@@ -53,17 +55,17 @@ class UsageError(Exception):
 def render_value(value):
     """Canonical JSON form of a scalar / λ-polynomial / x-polynomial."""
     if is_scalar(value):
-        return scalar_str(value)
+        return str(value)
     if isinstance(value, LambdaPoly):
         constant = value.constant_value()
         if constant is not None:
-            return scalar_str(constant)
-        return [scalar_str(c) for c in value.coeffs]
+            return str(constant)
+        return [str(c) for c in value.coeffs]
     if isinstance(value, XPoly):
         constant = value.constant_value()
         if constant is not None:
             return render_value(constant)
-        return [[scalar_str(s) for s in c.coeffs] for c in value.coeffs]
+        return [[str(s) for s in c.coeffs] for c in value.coeffs]
     raise TypeError(f"cannot render {type(value).__name__}")
 
 
@@ -112,23 +114,23 @@ def _write_records(args, kind: str, order: int, parameters, fieldnames, records)
 
 
 def _specialized(value, lam, x):
-    """A table value or family member at the requested λ and/or x."""
-    if lam is not None:
-        return specialize(value, lam, x)  # scalar, or x-coefficients when x is None
+    """A table value or family member at the requested x and/or λ."""
     if x is not None:
-        return value.eval_x(x)
+        value = value.eval_x(x)
+    if lam is not None:
+        value = specialize(value, lam)  # scalar, or x-coefficients when x is None
     return value
 
 
 def _parameter(value):
     """A λ or x argument as its parameters field: the rational's text, or None."""
-    return None if value is None else scalar_str(value)
+    return None if value is None else str(value)
 
 
 def _rational_arg(text: str):
     try:
         return as_scalar(text)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed rational {text!r}") from exc
 
 
@@ -251,7 +253,7 @@ def cmd_verify(args) -> int:
         parameters = {
             "order": args.order,
             # only recorded: a check that holds symbolically holds at every λ
-            "lambda_list": [scalar_str(v) for v in args.lambda_list or ()],
+            "lambda_list": [str(v) for v in args.lambda_list or ()],
             "filter": list(identity_filter) if identity_filter else None,
             "include_stretch": args.include_stretch,
         }
@@ -315,7 +317,7 @@ def _comma_list(text: str):
 def _lambda_list_arg(text: str):
     try:
         return [as_scalar(part) for part in _comma_list(text)]
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed rational list {text!r}") from exc
 
 

@@ -9,7 +9,7 @@ Requests run in-process through ``degenpoly.cli.main``, with the table and
 family builders memoised as ``perfbench/record_digests.py`` memoises them.
 Each mismatch is printed, and the exit code is 1 if there is any (a request
 that exits non-zero stops the check with a message).  All 1 394 requests
-take about 7 s on a 2-CPU host.  The name has no ``test_`` prefix, so pytest
+take about 4 s on a 2-CPU host.  The name has no ``test_`` prefix, so pytest
 does not collect it.
 """
 

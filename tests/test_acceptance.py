@@ -81,7 +81,7 @@ def test_criterion_2_classical_degeneration(suite):
         for k in range(n + 1):
             ok = ok and s2[n][k].eval(0) == partition_oracle(n, k)
             ok = ok and s1[n][k].eval(0) == signed_cycle_oracle(n, k)
-        ok = ok and specialize(bell[n], 0, 1) == bell_number_classical(n)
+        ok = ok and specialize(bell[n].eval_x(1), 0) == bell_number_classical(n)
     ok = ok and bell_number_classical(10) == 115975
     _report("2 classical degeneration (n <= 10, Bell(10) by enumeration)", ok)
 

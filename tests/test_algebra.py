@@ -110,7 +110,7 @@ class TestSpecialize:
     def test_bell_two_at_zero(self):
         # x^2 + (1-2λ)x at λ=0, x=1 is 2 (the 2-set has two partitions)
         p = xp(0, lp(1, -2), 1)
-        assert specialize(p, 0, 1) == 2
+        assert specialize(p.eval_x(1), 0) == 2
 
     def test_root(self):
         assert specialize(lp(-1, 1), 1) == 0
@@ -121,10 +121,11 @@ class TestSpecialize:
 
     def test_rational_point(self):
         p = falling_products(X, -LAM, 2)[2]
-        assert specialize(p, Q(1, 3), Q(1, 2)) == Q(1, 2) * (Q(1, 2) - Q(1, 3))
+        assert specialize(p.eval_x(Q(1, 2)), Q(1, 3)) == Q(1, 2) * (Q(1, 2) - Q(1, 3))
 
-    def test_x_value_rejected_for_lambda_poly(self):
-        with pytest.raises(ValueError):
+    def test_takes_no_x_value(self):
+        # x is evaluated by XPoly.eval_x alone
+        with pytest.raises(TypeError):
             specialize(lp(1, 1), 0, 1)
 
 
@@ -154,6 +155,21 @@ class TestCanonicalForm:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             LambdaPoly([0.5])
+
+    @pytest.mark.parametrize("use", [
+        lambda: LambdaPoly(["1/2"]),
+        lambda: LambdaPoly.const("1/2"),
+        lambda: lp(1, 1) * "1/2",
+        lambda: lp(1, 1).eval("1/2"),
+        lambda: LambdaPoly.zero().eval("1/2"),
+        lambda: xp(1, lp(0, 1)).eval_x("1/2"),
+        lambda: specialize(xp(1, lp(0, 1)), "1/2"),
+    ], ids=["LambdaPoly", "const", "scalar-mul", "eval", "eval-of-zero", "eval_x",
+            "specialize"])
+    def test_text_rejected(self, use):
+        # text becomes a number only in the CLI
+        with pytest.raises(TypeError):
+            use()
 
     def test_malformed_string_rejected(self):
         with pytest.raises(ValueError):
@@ -190,8 +206,8 @@ def test_x_ring_axioms(a, b, c):
 @given(x_polys, st.fractions(min_value=-3, max_value=3, max_denominator=4),
        st.fractions(min_value=-3, max_value=3, max_denominator=4))
 def test_specialize_at_x_is_evaluation_in_x_then_in_lambda(p, lam, x):
-    assert specialize(p, lam, x) == p.eval_x(x).eval(lam)
-    assert specialize(XPoly.zero(), lam, x) == 0
+    assert specialize(p.eval_x(x), lam) == specialize(p, lam).eval(x)
+    assert specialize(XPoly.zero().eval_x(x), lam) == 0
 
 
 @settings(max_examples=40, deadline=None)

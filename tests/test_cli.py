@@ -334,6 +334,19 @@ class TestEvalCommand:
         assert code == 2 and "unknown table or family" in err
 
 
+class TestRejections:
+    @pytest.mark.parametrize("argv, message", [
+        (("triangle", "--kind", "s2deg", "--order", "-1"), "order must be nonnegative"),
+        (("verify", "--order", "0"), "verification order must be >= 1"),
+        (("triangle", "--kind", "korobov", "--order", "4", "--r", "0"),
+         "slice order r must be >= 1"),
+        (("eval", "--expr", "korobov(3,0)"), "slice order r must be >= 1"),
+    ], ids=["negative-order", "verify-order-zero", "slice-r-zero", "eval-slice-r-zero"])
+    def test_exits_two_with_its_message(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"degenpoly: {message}\n")
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("argv", [
         ("triangle", "--kind", "s2deg", "--order", "3"),

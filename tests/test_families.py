@@ -4,9 +4,9 @@ family is its members, a tuple of x-polynomials."""
 import pytest
 
 from degenpoly.algebra import LambdaPoly, XPoly, falling_products, specialize
-from degenpoly.families import build_family
+from degenpoly.families import Workspace, build_family
 from degenpoly.oracles import bell_number_classical
-from degenpoly.triangles import build_triangle
+from degenpoly.triangles import RouteMismatchError, build_triangle
 
 N = 8
 
@@ -45,7 +45,7 @@ class TestDegBell:
 
     def test_classical_bell_numbers_at_lambda_zero(self, bell):
         for n in range(N + 1):
-            assert specialize(bell[n], 0, 1) == bell_number_classical(n)
+            assert specialize(bell[n].eval_x(1), 0) == bell_number_classical(n)
 
     def test_classical_bell_polynomials_at_lambda_zero(self, bell):
         from degenpoly.oracles import partition_oracle
@@ -136,6 +136,18 @@ class TestStructure:
             p = fam[n]
             assert p.degree == n
             assert p.coeff(n) == LambdaPoly.one()
+
+    @pytest.mark.parametrize("member", [
+        xp(0, 2),          # leading coefficient 2
+        xp(0, lp(1, 1)),   # leading coefficient 1 + λ
+        xp(1),             # degree 0
+    ])
+    def test_agreeing_routes_must_still_be_monic(self, monkeypatch, member):
+        members = [XPoly.one(), member]
+        monkeypatch.setattr(Workspace, "family_routes",
+                            lambda self, kind: (members, list(members)))
+        with pytest.raises(RouteMismatchError, match="is not monic of degree 1"):
+            build_family("degbell", 1)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

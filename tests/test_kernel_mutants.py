@@ -12,6 +12,10 @@ several checks.  So are the reference sides that only the identity suite
 computes: the step matrix whose power gives the slice sums, and thm6's
 alternating weights.  Each row names the file, a source line fragment found
 there exactly once, and the fragment that replaces it.
+
+A mutant that only pairs outside the paper can show, where the suite's
+sequences cannot, is a row of ``NODE_MUTANTS`` instead: it also names the
+test that must fail, run alone by pytest against the mutated copy.
 """
 
 import os
@@ -22,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "degenpoly"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "degenpoly"
 
 MUTANTS = {
     "lp_dot-rescale": ("algebra.py", "y = [c * scale for c in y]", "y = [c for c in y]"),
@@ -53,6 +58,13 @@ MUTANTS = {
                         "deg_exp_coeffs(LambdaPoly.one(), _inner_at(order, inner), 1)"),
 }
 
+# Every sequence of the paper has g(0) = f'(0) = 1, a unit Riordan diagonal,
+# so a pivot of 1 builds each of them right and only a random pair shows it.
+NODE_MUTANTS = {
+    "sheffer-pivot-one": ("umbral.py", "pivot = QONE / r_row[n].constant_value()",
+                          "pivot = QONE", "tests/test_sheffer_laws.py::test_group_law"),
+}
+
 SUITE = """
 import sys
 import degenpoly
@@ -62,20 +74,41 @@ print(" ".join(r.status for r in run_suite(SuiteConfig(order=8))))
 """
 
 
-@pytest.mark.parametrize("name", MUTANTS)
-def test_the_suite_notices_the_mutant(tmp_path, name):
-    filename, anchor, replacement = MUTANTS[name]
+NODE = """
+import sys
+import degenpoly
+import pytest
+assert degenpoly.__file__.startswith(sys.argv[1]), degenpoly.__file__
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[2]]))
+"""
+
+
+def _run_mutated(tmp_path, filename, anchor, replacement, *args):
+    """Run a script against a copy of the package with one fragment replaced."""
     copy = tmp_path / "degenpoly"
     shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
     source = (copy / filename).read_text(encoding="utf-8")
     assert source.count(anchor) == 1
     (copy / filename).write_text(source.replace(anchor, replacement), encoding="utf-8")
-
-    run = subprocess.run(
-        [sys.executable, "-c", SUITE, str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, "-c", *args],
         env={**os.environ, "PYTHONPATH": str(tmp_path)},
-        capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_the_suite_notices_the_mutant(tmp_path, name):
+    run = _run_mutated(tmp_path, *MUTANTS[name], SUITE, str(tmp_path))
     assert run.returncode == 0, run.stderr
     statuses = run.stdout.split()
     assert statuses and set(statuses) != {"pass"}
+
+
+@pytest.mark.parametrize("name", NODE_MUTANTS)
+def test_the_named_test_notices_the_mutant(tmp_path, name):
+    *mutation, node = NODE_MUTANTS[name]
+    run = _run_mutated(tmp_path, *mutation, NODE, str(tmp_path), str(ROOT / node))
+    # pytest exits 1 when tests ran and some failed, not on an error of its own
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed" in run.stdout

@@ -1,4 +1,4 @@
-"""Scalars: coercion, rendering, and the Fraction backend end to end."""
+"""Scalars: parsing text, rendering, and the Fraction backend end to end."""
 
 import subprocess
 import sys
@@ -7,22 +7,27 @@ from fractions import Fraction
 
 import pytest
 
-from degenpoly.scalars import Q, as_scalar, is_scalar, scalar_str
+from degenpoly.algebra import LambdaPoly
+from degenpoly.cli import render_value
+from degenpoly.scalars import Q, as_scalar, is_scalar
 
 
 class TestCoercion:
-    def test_accepts_ints_fractions_strings(self):
-        assert as_scalar(3) == 3
-        assert as_scalar(Fraction(2, 4)) == Q(1, 2)
+    def test_parses_p_over_q_text(self):
         assert as_scalar("3/4") == Q(3, 4)
+        assert as_scalar(" -3/6 ") == Q(-1, 2)
         assert as_scalar("-7") == -7
+        assert as_scalar("4/01") == 4
 
     def test_rejects_floats(self):
+        # no rounding ever occurs: the engine refuses a float wherever a scalar enters
         with pytest.raises(TypeError):
-            as_scalar(0.5)
+            LambdaPoly.const(0.5)
+        with pytest.raises(TypeError):
+            LambdaPoly((1, 1)).eval(0.5)
 
     def test_rejects_garbage_strings(self):
-        for bad in ("1//2", "a/b", "1/0", "", "1e5000", "1.5"):
+        for bad in ("1//2", "a/b", "1/0", "1/00", "", "1e5000", "1.5"):
             with pytest.raises(ValueError):
                 as_scalar(bad)
 
@@ -32,13 +37,14 @@ class TestCoercion:
 
 
 class TestRendering:
+    # a scalar renders as its str: ints and Fractions already print "num/den"
     def test_denominator_omitted_when_one(self):
-        assert scalar_str(Q(4, 2)) == "2"
-        assert scalar_str(7) == "7"
+        assert render_value(Q(4, 2)) == "2"
+        assert render_value(7) == "7"
 
     def test_num_den_form(self):
-        assert scalar_str(Q(-3, 6)) == "-1/2"
-        assert scalar_str(Fraction(5, 15)) == "1/3"
+        assert render_value(Q(-3, 6)) == "-1/2"
+        assert render_value(Fraction(5, 15)) == "1/3"
 
 
 def test_everything_stays_exact():
