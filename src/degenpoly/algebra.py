@@ -201,8 +201,8 @@ class LambdaPoly:
 
     def __mul__(self, other):
         if type(other) is not LambdaPoly:
-            if not is_scalar(other):
-                return NotImplemented
+            if isinstance(other, XPoly):
+                return NotImplemented  # XPoly.__rmul__ scales the x-polynomial
             p, q = _ratio(other)
             if not p or not self._n:
                 return _LP_ZERO
@@ -299,10 +299,6 @@ class XPoly:
         self._c = _trim([as_lambda_poly(c) for c in coeffs])
 
     @classmethod
-    def zero(cls) -> "XPoly":
-        return _XP_ZERO
-
-    @classmethod
     def one(cls) -> "XPoly":
         return _XP_ONE
 
@@ -342,15 +338,9 @@ class XPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, XPoly):
             return self._c == other._c
-        if isinstance(other, LambdaPoly) or is_scalar(other):
-            other = XPoly.const(other)
-            return self._c == other._c
         return NotImplemented
 
     def __hash__(self) -> int:
-        # a constant equals the LambdaPoly (or scalar) it holds, so it hashes like it
-        if len(self._c) <= 1:
-            return hash(self.constant_value())
         return hash(self._c)
 
     def __neg__(self) -> "XPoly":
@@ -394,6 +384,7 @@ class XPoly:
 
     def eval_x(self, x_value) -> LambdaPoly:
         """Horner evaluation at a rational x, leaving λ symbolic."""
+        _ratio(x_value)
         acc = _LP_ZERO
         for c in reversed(self._c):
             acc = acc * x_value + c
@@ -473,6 +464,7 @@ def specialize(poly, lambda_value):
     * XPoly → polynomial in x with rational coefficients, returned as a
       LambdaPoly-shaped dense coefficient list.
     """
+    _ratio(lambda_value)
     if isinstance(poly, LambdaPoly):
         return poly.eval(lambda_value)
     if isinstance(poly, XPoly):

@@ -9,9 +9,11 @@ inversion simple.
 Every generating series in t has λ-polynomial coefficients; polynomials in x
 are only the values a series generates.  The family route reads them from
 ``deg_exp_coeffs`` with the exponent x, and Corollary 15 one power of x at a
-time (``umbral.corollary15_rhs``).  Binary operations truncate to the
-minimum operand order, since composition pipelines naturally lose order and
-callers pin orders explicitly.  Each coefficient of a product or of
+time (``umbral.corollary15_rhs``).  A series multiplies series, adds a
+scalar or λ-polynomial to its constant term, truncates and divides by t,
+and nothing else.  A product truncates to the lower operand order, since
+composition pipelines naturally lose order and callers pin orders
+explicitly.  Each coefficient of a product or of
 ``mul_inverse`` is one dot product, a single ``algebra.lp_dot`` call, except
 that a product computes none below the sum of its operands' valuations (so
 the power g·f^k of a delta series f skips its k leading zeros); each
@@ -91,10 +93,6 @@ class Series:
             raise ValueError(f"cannot extend order {self.order} series to {order}")
         return Series(self.coeffs[: order + 1])
 
-    def scale(self, value) -> "Series":
-        """Multiply every coefficient by a scalar or λ-polynomial."""
-        return Series([c * value for c in self.coeffs])
-
     def shift_down(self) -> "Series":
         """Divide by t (requires a zero constant term; loses one order)."""
         if self.coeffs[0]:
@@ -118,32 +116,20 @@ class Series:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __neg__(self) -> "Series":
-        return Series([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        if isinstance(other, Series):
-            n = self._common(other)
-            return Series([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-        # scalar / λ-polynomial addition touches only the constant term
-        coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] + other
-        return Series(coeffs)
-
-    __radd__ = __add__
+    def __add__(self, value):
+        """Add a scalar or λ-polynomial to the constant term."""
+        return Series((self.coeffs[0] + as_lambda_poly(value), *self.coeffs[1:]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, Series):
-            return self.scale(other)
+        n = self._common(other)
         # every coefficient below the sum of the valuations is zero: convolve
         # the operands from their first nonzero coefficients
         va, vb = _valuation(self.coeffs), _valuation(other.coeffs)
         start = va + vb
         a, b = self.coeffs[va:], other.coeffs[vb:]
-        n = self._common(other)
         return Series([LambdaPoly.zero()] * min(start, n + 1)
                       + [lp_conv(a, b, k - start) for k in range(start, n + 1)])
 

@@ -44,7 +44,7 @@ class TestFallingProducts:
     @pytest.mark.parametrize("first", [XPoly.var(), LambdaPoly.var()])
     def test_count_zero_is_the_empty_product(self, first):
         products = falling_products(first, -1, 0)
-        assert products == [1]
+        assert products == [type(first).one()]
         assert type(products[0]) is type(first)
 
 
@@ -143,9 +143,13 @@ class TestCanonicalForm:
         assert xp(1, lp(0)).coeffs == (LambdaPoly.one(),)
 
     def test_scalar_equality(self):
+        # a constant λ-polynomial equals its scalar; an x-polynomial equals
+        # only an x-polynomial
         assert lp(5) == 5
-        assert xp(5) == 5
-        assert xp(lp(0, 1)) == LambdaPoly.var()
+        assert (XPoly.one() == 1) is False
+        assert xp(lp(0, 1)) != LambdaPoly.var()
+        assert xp(5) == xp(lp(5)) and hash(xp(5)) == hash(xp(lp(5)))
+        assert not hasattr(XPoly, "zero")
 
     def test_string_form(self):
         assert str(lp(1, -1)) == "1 - λ"
@@ -155,21 +159,30 @@ class TestCanonicalForm:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             LambdaPoly([0.5])
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            xp(1, 2).eval_x(0.5)
 
     @pytest.mark.parametrize("use", [
         lambda: LambdaPoly(["1/2"]),
         lambda: LambdaPoly.const("1/2"),
         lambda: lp(1, 1) * "1/2",
+        lambda: "1/2" * lp(1, 1),
         lambda: lp(1, 1).eval("1/2"),
         lambda: LambdaPoly.zero().eval("1/2"),
         lambda: xp(1, lp(0, 1)).eval_x("1/2"),
+        lambda: XPoly().eval_x("1/2"),
         lambda: specialize(xp(1, lp(0, 1)), "1/2"),
-    ], ids=["LambdaPoly", "const", "scalar-mul", "eval", "eval-of-zero", "eval_x",
-            "specialize"])
+        lambda: specialize(XPoly(), "x"),
+    ], ids=["LambdaPoly", "const", "scalar-mul", "reflected-scalar-mul", "eval",
+            "eval-of-zero", "eval_x", "eval_x-of-zero", "specialize", "specialize-zero"])
     def test_text_rejected(self, use):
-        # text becomes a number only in the CLI
-        with pytest.raises(TypeError):
+        # text becomes a number only in the CLI; every polynomial, zero
+        # included, refuses it in the words of the one scalar check
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
             use()
+
+    def test_lambda_times_x_polynomial_is_an_x_polynomial(self):
+        assert lp(0, 1) * xp(1, 2) == xp(lp(0, 1), lp(0, 2))
 
     def test_malformed_string_rejected(self):
         with pytest.raises(ValueError):
@@ -207,7 +220,7 @@ def test_x_ring_axioms(a, b, c):
        st.fractions(min_value=-3, max_value=3, max_denominator=4))
 def test_specialize_at_x_is_evaluation_in_x_then_in_lambda(p, lam, x):
     assert specialize(p.eval_x(x), lam) == specialize(p, lam).eval(x)
-    assert specialize(XPoly.zero().eval_x(x), lam) == 0
+    assert specialize(XPoly().eval_x(x), lam) == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -79,7 +79,7 @@ class TestJindalrae:
     def test_thm10_instance(self, jind, bell):
         s2 = build_triangle("s2deg", N)
         for n in range(N + 1):
-            acc = XPoly.zero()
+            acc = XPoly()
             for m in range(n + 1):
                 acc = acc + bell[m] * s2[n][m]
             assert acc == jind[n]
@@ -87,7 +87,7 @@ class TestJindalrae:
     def test_thm9_instance(self, jind, bell):
         s1 = build_triangle("s1deg", N)
         for n in range(N + 1):
-            acc = XPoly.zero()
+            acc = XPoly()
             for m in range(n + 1):
                 acc = acc + jind[m] * s1[n][m]
             assert acc == bell[n]
@@ -108,7 +108,7 @@ class TestGaenari:
         s2 = build_triangle("s2deg", N)
         falling = falling_products(XPoly.var(), -1, N)
         for n in range(N + 1):
-            acc = XPoly.zero()
+            acc = XPoly()
             for m in range(n + 1):
                 acc = acc + gaen[m] * s2[n][m]
             assert acc == falling[n]
@@ -171,8 +171,8 @@ class TestStructure:
         j2 = build_triangle("j2deg", N)
         falling = falling_products(XPoly.var(), -LambdaPoly.var(), N)
         for n in range(N + 1):
-            left = XPoly.zero()
-            right = XPoly.zero()
+            left = XPoly()
+            right = XPoly()
             for m in range(n + 1):
                 left = left + gaen[m] * j2[n][m]
                 right = right + jind[m] * j1[n][m]

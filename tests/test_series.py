@@ -200,8 +200,29 @@ class TestSeriesBasics:
             deg_exp(1, 3).shift_down()
 
     def test_min_order_arithmetic(self):
-        assert (deg_log(7) + deg_log(4)).order == 4
         assert (deg_log(7) * deg_log(4)).order == 4
+
+    def test_constant_arithmetic(self):
+        f = deg_log(3)
+        assert (f + 2).coeffs == (lp(2), *f.coeffs[1:])
+        assert (f + LambdaPoly.var() - 1).coeffs == (lp(-1, 1), *f.coeffs[1:])
+
+    @pytest.mark.parametrize("use, message", [
+        (lambda f: f + f, "is not a scalar or λ-polynomial"),
+        (lambda f: f - f, "bad operand type for unary -"),
+        (lambda f: -f, "bad operand type for unary -"),
+        (lambda f: f * 2, "expected a Series, got int"),
+        (lambda f: 2 * f, "expected a Series, got int"),
+        (lambda f: 1 + f, "unsupported operand"),
+        (lambda f: f * LambdaPoly.var(), "expected a Series, got LambdaPoly"),
+        (lambda f: LambdaPoly.var() * f, "is not an int or a Fraction"),
+    ], ids=["series-sum", "series-difference", "negation", "scalar-product",
+            "reflected-scalar-product", "reflected-sum", "lambda-product",
+            "reflected-lambda-product"])
+    def test_only_products_and_constant_terms(self, use, message):
+        # a series multiplies series and adds to its constant term; nothing else
+        with pytest.raises(TypeError, match=message):
+            use(deg_log(3))
 
 
 small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -249,7 +270,7 @@ linear_coeff = small_rational.filter(
 @settings(max_examples=15, deadline=None)
 @given(linear_coeff, delta_series(10))
 def test_comp_inverse_matches_order_by_order_solver(lead, f):
-    f = f.scale(lead)
+    f = Series([c * lead for c in f.coeffs])
     assert comp_inverse(f) == order_by_order_inverse(f)
 
 

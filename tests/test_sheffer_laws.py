@@ -9,7 +9,9 @@ composition (*The Umbral Calculus*, 1984, ch. 3), read through the
 fundamental theorem of Riordan arrays (Shapiro et al., *Discrete Appl. Math.*
 34, 1991): the matrix of q∘p is the matrix of q's pair composed with p's by
 the group law, a sequence composed with its inverse is the identity, and the
-m-fold power's pair, matrix power and explicit chain sum agree.
+m-fold power's pair, matrix power and explicit chain sum agree.  For an
+associated r = (1, f), Corollary 15's right side, s's generating series with
+the m-fold compositional power of f's inverse substituted, is r^m∘s.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -17,9 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 from degenpoly.algebra import LambdaPoly
 from degenpoly.scalars import Q
 from degenpoly.series import Series, comp_inverse, compose
+from degenpoly.triangles import convolution_rows
 from degenpoly.umbral import (
     SEQUENCES,
     compose_pair,
+    corollary15_rhs,
     inverse_pair,
     power_pair,
     sheffer_from_pair,
@@ -37,10 +41,14 @@ lambda_polys = st.lists(
 
 
 @st.composite
-def sequences(draw):
-    """A Sheffer sequence of a random invertible series g and delta series f."""
+def sequences(draw, associated=False):
+    """A Sheffer sequence of a random delta series f and a random invertible
+    series g, or g = 1 when ``associated``."""
     higher = st.lists(lambda_polys, min_size=ORDER - 1, max_size=ORDER - 1)
-    g = Series([draw(constants), draw(lambda_polys), *draw(higher)])
+    if associated:
+        g = Series.one(ORDER)
+    else:
+        g = Series([draw(constants), draw(lambda_polys), *draw(higher)])
     f = Series([0, draw(constants), *draw(higher)])
     return sheffer_from_pair(g, f)
 
@@ -86,3 +94,11 @@ def test_power_pairs(r):
         powered = umbral_power(r, m)
         assert sheffer_from_pair(*power_pair(r, m)).matrix == powered
         assert tuple(map(tuple, umbral_power_explicit_rows(r, m))) == powered
+
+
+@settings(max_examples=8, deadline=None)
+@example(sheffer_from_pair(Series.one(ORDER), NON_UNIT.f), NON_UNIT)
+@given(sequences(associated=True), sequences())
+def test_corollary15(r, s):
+    for m in (1, 2):
+        assert corollary15_rhs(r, s, m) == convolution_rows(umbral_power(r, m), s.matrix)

@@ -1,11 +1,15 @@
 """Series with x-polynomial coefficients, for the test oracles only.
 
-The engine's ``Series`` holds λ-polynomials.  The oracles below substitute a
-λ-series into a series whose coefficients are polynomials in x, the way the
-family generating series and Corollary 15's right-hand side were computed
-before they were read from the differential equation and column by column.
-The same Horner loop over λ-polynomial coefficients is how ``series.compose``
-worked before it read the inner series' power table.
+The engine's ``Series`` holds λ-polynomials and runs only the arithmetic the
+engine needs: products of series and a constant added to the constant term.
+The oracles below work on plain coefficient lists instead, with the sums and
+products of their coefficients.  ``horner`` substitutes a λ-series into a
+series whose coefficients are polynomials in x (or in λ), the way the family
+generating series and Corollary 15's right-hand side were computed before
+they were read from the differential equation and column by column; over
+λ-polynomial coefficients it is how ``series.compose`` worked before it read
+the inner series' power table.  Zero of either ring is its empty polynomial,
+``LambdaPoly()`` or ``XPoly()``.
 """
 
 from math import factorial
@@ -21,7 +25,7 @@ def horner(outer, inner):
     products and sums."""
     n = min(len(outer) - 1, inner.order)
     u = inner.coeffs
-    zero = type(outer[0]).zero()
+    zero = type(outer[0])()
     result = [outer[n]] + [zero] * n
     for i in range(n - 1, -1, -1):
         result = [sum((result[j] * u[m - j] for j in range(m + 1)), zero)
