@@ -150,16 +150,9 @@ class LambdaPoly:
     def __eq__(self, other) -> bool:
         if type(other) is LambdaPoly:
             return self._n == other._n and self._d == other._d
-        if is_scalar(other):
-            if not other:
-                return not self._n
-            return len(self._n) == 1 and Q(self._n[0], self._d) == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        # a constant equals its scalar value, so it must hash like it too
-        if len(self._n) <= 1:
-            return hash(self.constant_value())
         return hash((self._n, self._d))
 
     def __neg__(self) -> "LambdaPoly":
@@ -368,16 +361,12 @@ class XPoly:
 
     def __mul__(self, other):
         if isinstance(other, LambdaPoly) or is_scalar(other):
-            if not other:
-                return _XP_ZERO
             if other == 1:
                 return self
             return XPoly([c * other for c in self._c])
         if not isinstance(other, XPoly):
             return NotImplemented
         a, b = self._c, other._c
-        if not a or not b:
-            return _XP_ZERO
         return XPoly([lp_conv(a, b, k) for k in range(len(a) + len(b) - 1)])
 
     __rmul__ = __mul__

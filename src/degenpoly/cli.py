@@ -282,25 +282,26 @@ def _eval_expr(expr: str, x):
         raise UsageError(
             f"cannot parse expression {expr!r}; expected name(n) or name(n,k)"
         )
-    name, first, second = match.group(1), int(match.group(2)), match.group(3)
+    name = match.group(1)
+    try:
+        n, second = [int(g) if g else None for g in match.group(2, 3)]
+    except ValueError as exc:  # digits past CPython's int-from-text limit
+        raise UsageError(f"an index has over {sys.get_int_max_str_digits()} digits") from exc
     if name in FAMILY_KINDS:
         if second is not None:
             raise UsageError(f"family {name} takes a single index, got {expr!r}")
-        n = _check_order(first)
+        _check_order(n)
         return build_family(name, n)[n]
     if name not in SLICE_KINDS and name not in TRIANGLE_KINDS:
         raise UsageError(f"unknown table or family {name!r}")
     if x is not None:
         raise UsageError("--x only applies to polynomial families")
     if second is None:
-        raise UsageError(f"{name} needs two indices, e.g. {name}({first},1)")
-    if name in SLICE_KINDS:
-        n, r = first, int(second)
-        _check_order(n)
-        return _build_slice(name, n, r)[n]
-    n, k = first, int(second)
+        raise UsageError(f"{name} needs two indices, e.g. {name}({n},1)")
     _check_order(n)
-    return _build_triangle(name, n)[n][k] if k <= n else LambdaPoly.zero()
+    if name in SLICE_KINDS:
+        return _build_slice(name, n, second)[n]
+    return _build_triangle(name, n)[n][second] if second <= n else LambdaPoly.zero()
 
 
 def cmd_eval(args) -> int:

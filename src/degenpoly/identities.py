@@ -30,9 +30,9 @@ metadata only.
 
 Failures are data, not errors: each identity yields one CheckResult whose
 witness pinpoints the first offending (n, k) with both rendered values.
-An exception raised while evaluating an identity (e.g. an internal
-route-mismatch guard) is a bug in the engine or the check, not a disproof:
-its result gets status "error", with the exception as witness.
+An exception raised while evaluating an identity (a route-mismatch guard,
+or a fact comparing two kinds of value) is a bug in the engine or the check,
+not a disproof: its result gets status "error", with the exception as witness.
 
 Results come back in registration order, so suite output is byte-stable.
 """
@@ -45,7 +45,7 @@ from math import comb, factorial
 
 from .algebra import LambdaPoly, XPoly, falling_products, lp_dot, specialize
 from .oracles import bell_number_classical, partition_oracle, signed_cycle_oracle
-from .scalars import Q
+from .scalars import Q, is_scalar
 from .triangles import (
     ORACLE_CHECK_LIMIT,
     SLICES,
@@ -335,11 +335,11 @@ def _check_eq52(ws, order):
 
 def _check_eq17(ws, order):
     t = ws.tri("t")
-    yield "(n=0, k=0)", t[0][0], 1
+    yield "(n=0, k=0)", t[0][0], LambdaPoly.one()
     for n in range(1, order + 1):
-        yield f"column 1 (n={n})", t[n][1], bell_number_classical(n)
-        yield f"diagonal (n={n})", t[n][n], 1
-        yield f"column 0 (n={n})", t[n][0], 0
+        yield f"column 1 (n={n})", t[n][1], LambdaPoly.const(bell_number_classical(n))
+        yield f"diagonal (n={n})", t[n][n], LambdaPoly.one()
+        yield f"column 0 (n={n})", t[n][0], LambdaPoly.zero()
 
 
 def _check_eq19(ws, order):
@@ -498,8 +498,11 @@ def describe_identities():
 
 
 def _first_failure(facts):
-    """The witness of the first fact that fails; None when every fact holds."""
+    """The witness of the first fact that fails; None when every fact holds.
+    A TypeError when the two sides of a fact differ in kind, bar two scalars."""
     for label, lhs, rhs in facts:
+        if type(lhs) is not type(rhs) and not (is_scalar(lhs) and is_scalar(rhs)):
+            raise TypeError(f"{label}: compares {type(lhs).__name__} with {type(rhs).__name__}")
         if lhs != rhs:
             return f"{label}: {lhs} != {rhs}"
     return None

@@ -211,8 +211,9 @@ def classical_exp(order: int, inner: Series | None = None) -> Series:
 
 
 # name -> (order, inner delta series u, t when omitted) -> the delta series.
-# Entries look up the maps as module globals when called, so a wrapper
-# installed on the module sees them.
+# The entries are lambdas that make each map a delta series: "exp" fixes
+# deg_exp's exponent at 1, "exp" and "classical" drop the constant term 1,
+# and "log", a delta series already, is wrapped to match.
 DELTA_MAPS = {
     "exp": lambda order, inner=None: deg_exp(1, order, inner) - 1,
     "log": lambda order, inner=None: deg_log(order, inner),

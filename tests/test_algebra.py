@@ -143,9 +143,11 @@ class TestCanonicalForm:
         assert xp(1, lp(0)).coeffs == (LambdaPoly.one(),)
 
     def test_scalar_equality(self):
-        # a constant λ-polynomial equals its scalar; an x-polynomial equals
+        # a λ-polynomial equals only a λ-polynomial, and an x-polynomial
         # only an x-polynomial
-        assert lp(5) == 5
+        assert lp(5) != 5 and lp(5) == LambdaPoly.const(5)
+        assert 5 not in {lp(5)} and hash(lp(5)) == hash(LambdaPoly.const(5))
+        assert lp(0) != 0 and lp() == LambdaPoly.zero()
         assert (XPoly.one() == 1) is False
         assert xp(lp(0, 1)) != LambdaPoly.var()
         assert xp(5) == xp(lp(5)) and hash(xp(5)) == hash(xp(lp(5)))

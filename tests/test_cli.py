@@ -300,6 +300,13 @@ class TestEvalCommand:
         assert code == 2 and out == ""
         assert "exceeds the guard rail" in err
 
+    @pytest.mark.parametrize("template", ["s2deg(4,{})", "degbell({})", "korobov(3,{})"])
+    def test_index_too_long_to_read_is_usage_error(self, capsys, template):
+        # 5 000 digits, past Python's int-from-text limit
+        code, out, err = run_cli(capsys, "eval", "--expr", template.format("1" * 5000))
+        assert code == 2 and out == ""
+        assert err == f"degenpoly: an index has over {sys.get_int_max_str_digits()} digits\n"
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_value_too_long_to_print_is_usage_error(self, capsys, fmt):
         # s2deg(4,1) is cubic in λ: a 2 001-digit λ gives a value of over

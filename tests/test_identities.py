@@ -222,6 +222,28 @@ class TestWitness:
         results = run_suite(SuiteConfig(order=3, identity_filter=("cor13",)))
         assert (results[0].status, results[0].witness) == ("fail", expected)
 
+    @pytest.mark.parametrize("sides, kinds", [
+        ((XPoly.one(), LambdaPoly.one()), "XPoly with LambdaPoly"),
+        ((LambdaPoly.one(), 1), "LambdaPoly with int"),
+        ((Q(1, 2), LambdaPoly.const(Q(1, 2))), "Fraction with LambdaPoly"),
+    ], ids=["xpoly-lambda", "lambda-int", "fraction-lambda"])
+    def test_a_fact_of_two_kinds_is_an_error(self, monkeypatch, sides, kinds):
+        # unequal by type alone, such a fact is a bug in the check, not a disproof
+        def mixed(ws, order):
+            yield ("(n=1)", *sides)
+
+        _patch_check(monkeypatch, "cor13", mixed)
+        results = run_suite(SuiteConfig(order=3, identity_filter=("cor13",)))
+        assert (results[0].status, results[0].witness) == (
+            "error", f"TypeError: (n=1): compares {kinds}")
+
+    def test_eq17_compares_lambda_polynomials(self):
+        from degenpoly.identities import _BY_ID, _Workspace
+
+        facts = list(_BY_ID["eq17"].fn(_Workspace(6), 6))
+        assert len(facts) == 1 + 3 * 6
+        assert all(type(lhs) is type(rhs) is LambdaPoly for _, lhs, rhs in facts)
+
     def test_error_becomes_error_result(self, monkeypatch):
         def exploding(ws, order):
             raise RuntimeError("boom")

@@ -16,7 +16,7 @@ from math import gcd
 
 from hypothesis import given, strategies as st
 
-from degenpoly.algebra import LambdaPoly, XPoly, _poly_str, lp_dot, xp_dot
+from degenpoly.algebra import LambdaPoly, XPoly, _poly_str, as_lambda_poly, lp_dot, xp_dot
 from degenpoly.scalars import Q
 
 
@@ -161,7 +161,7 @@ def test_half_times_two_is_one():
     assert hash(half * 2) == hash(LambdaPoly.one())
     assert (half * 2)._d == 1
     assert LambdaPoly((Fraction(1, 2), Fraction(1, 3))) * 6 == LambdaPoly((3, 2))
-    assert LambdaPoly((Fraction(1, 6), 0, 0)) + LambdaPoly((Fraction(-1, 6),)) == 0
+    assert LambdaPoly((Fraction(1, 6), 0, 0)) + LambdaPoly((Fraction(-1, 6),)) == LambdaPoly.zero()
 
 
 @given(scalars, st.sampled_from([
@@ -173,15 +173,14 @@ def test_constants_compare_with_scalars(s, case):
     const, lam = case
     value = LambdaPoly((s, lam)) if lam else s
     poly = const(value)
-    assert poly.constant_value() == value
+    # the constant of an x-polynomial is a λ-polynomial, that of a λ-polynomial a scalar
+    assert poly.constant_value() == (as_lambda_poly(value) if isinstance(poly, XPoly) else value)
     assert bool(poly) == bool(value)
-    if isinstance(poly, XPoly):
-        # an x-polynomial equals only an x-polynomial
-        assert poly != value and poly == XPoly([value])
-        return
-    assert poly == value and poly == Fraction(s)
-    assert hash(poly) == hash(value) and value in {poly}
-    assert (poly == value + 1) is False
+    # a polynomial equals only a polynomial of its own type
+    same = type(poly)([value])
+    assert poly != value and value not in {poly}
+    assert poly == same and hash(poly) == hash(same)
+    assert poly != type(poly)([value + 1])
 
 
 def int_product(a, b):
